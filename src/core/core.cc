@@ -50,10 +50,20 @@ Core::tick()
         return;
     std::uint64_t before = committed_.value();
     stallCat_ = trace::CpiCat::Other;
+    blocked_.release = kWakeNever;
+    blocked_.counter = nullptr;
     cycle();
     accountCycle(committed_.value() - before);
     ++now_;
     ++cyclesStat_;
+}
+
+Cycle
+Core::nextWakeCycle() const
+{
+    if (arch_.halted)
+        return kWakeNever;
+    return blocked_.acted ? kWakeNow : releaseWake();
 }
 
 void
@@ -69,9 +79,9 @@ Core::advanceIdle(Cycle n)
 void
 Core::idleAdvance(Cycle n)
 {
-    (void)n;
-    panic("%s: advanceIdle without an idleAdvance implementation",
-          params_.name.c_str());
+    if (blocked_.counter)
+        *blocked_.counter += n;
+    cpiStack_.add(stallCat_, n);
 }
 
 double

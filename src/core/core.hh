@@ -13,6 +13,7 @@
 #ifndef SSTSIM_CORE_CORE_HH
 #define SSTSIM_CORE_CORE_HH
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <string>
@@ -107,26 +108,26 @@ class Core
      * Wake-cycle protocol. Returns the earliest future cycle at which
      * this core can possibly make progress (or change any observable
      * state, including per-cycle stall counters that differ from the
-     * current stalled shape): the blocking fill's ready cycle for the
-     * scoreboarded models, the earliest of ROB-head completion / IQ
-     * wakeup for OoO, the min over ahead-strand blocker / DQ
-     * replay-ready / divide completion for SST. Anything the core would
-     * do *this* cycle — including stall paths that re-probe the cache
-     * port and therefore mutate hierarchy stats — reports kWakeNow.
+     * current stalled shape). It is read off the last tick's Blocked
+     * record: the minimum release cycle over what every strand and
+     * stage was blocked on. A tick that moved a strand, or a blocker
+     * that retries this cycle (a port re-probe, a pass swap, a
+     * rollback), reports kWakeNow.
      *
      * Contract: call immediately after a tick() that retired nothing;
      * a subsequent advanceIdle(n) with now+n <= nextWakeCycle() must
      * leave the core byte-identical (stats, traces, state) to n naive
-     * ticks. The base implementation never skips.
+     * ticks. Models add the events that reach them from outside the
+     * tick (remote squashes, abort injection).
      */
-    virtual Cycle nextWakeCycle() const { return kWakeNow; }
+    virtual Cycle nextWakeCycle() const;
 
     /**
      * Skip @p n stalled cycles in one step: replays exactly the stat
      * increments (stall scalars, CPI-stack attribution, occupancy
      * distribution samples) the naive per-cycle loop would have made,
-     * then advances the cycle counters. Only valid immediately after
-     * the nextWakeCycle() call whose classification it consumes.
+     * then advances the cycle counters. Only valid after a
+     * nextWakeCycle() that allowed the skip, before the next tick().
      */
     void advanceIdle(Cycle n);
 
@@ -201,7 +202,8 @@ class Core
      * (which includes the CPI stack and this core's port stats), then
      * the model's extra state via saveExtra(). Runtime attachments
      * (trace sink, trace buffer pointer) are not state and are not
-     * serialized; cached wake classifications are recomputed.
+     * serialized; of the Blocked record only the models' acted flag
+     * travels (the next tick rewrites the rest).
      */
     void save(snap::Writer &w) const;
     void load(snap::Reader &r);
@@ -227,14 +229,34 @@ class Core
     }
 
     /**
-     * Classify this cycle's stall for the CPI stack. First call per
-     * cycle wins (the oldest blocking condition is the one that
-     * mattered); retirement overrides any noted stall with Base.
+     * Record one blocker of the in-flight cycle: bump its per-cycle
+     * stall scalar @p counter (if any) and fold it into the Blocked
+     * record. The first category and the first counter per cycle win
+     * (the oldest blocking condition is the one that mattered;
+     * retirement overrides the category with Base). @p release is the
+     * cycle the condition can first clear: kWakeNever when another
+     * recorded blocker's release frees it, now_ when the path retries
+     * (re-probes the port) every cycle.
      */
-    void noteStall(trace::CpiCat cat)
+    void block(trace::CpiCat cat, Cycle release = kWakeNever,
+               Scalar *counter = nullptr)
     {
         if (stallCat_ == trace::CpiCat::Other)
             stallCat_ = cat;
+        if (counter) {
+            ++*counter;
+            if (!blocked_.counter)
+                blocked_.counter = counter;
+        }
+        wakeBy(release);
+    }
+
+    /** Bound the wake by @p release without a stall category or
+     *  counter (store-buffer drains, the behind strand, issue-queue
+     *  wakeups). */
+    void wakeBy(Cycle release)
+    {
+        blocked_.release = std::min(blocked_.release, release);
     }
 
     /**
@@ -249,26 +271,36 @@ class Core
     }
 
     /**
-     * Shared classification of a stalled window, produced by each
-     * model's nextWakeCycle() analysis and consumed by idleAdvance():
-     * when the window's first-failing condition releases (wake) and
-     * which per-cycle accounting every cycle inside it repeats.
+     * What the last tick was blocked on, written by the issue paths as
+     * they fail (block(), wakeBy()) and read by nextWakeCycle() and
+     * idleAdvance(). Every cycle of a skipped window repeats that tick:
+     * the same blockers, so the same stall scalar and the same CPI
+     * category (stallCat_). tick() resets release and counter.
      */
-    struct IdleClass
+    struct Blocked
     {
-        Cycle wake = kWakeNow;
-        /** CPI category each skipped cycle charges (what noteStall
-         *  would have recorded). */
-        trace::CpiCat cat = trace::CpiCat::Other;
-        /** Per-cycle stall scalar to bulk-increment, if any. */
+        /** Earliest cycle any recorded blocker releases. */
+        Cycle release = kWakeNever;
+        /** Per-cycle stall scalar of the first counted blocker. */
         Scalar *counter = nullptr;
+        /** A strand issued, replayed or dispatched: the next cycle is
+         *  not a repeat of this one. Assigned by the models that track
+         *  it (OoO, SST) on every tick they run; it is snapshot state. */
+        bool acted = false;
     };
+    Blocked blocked_;
+
+    /** nextWakeCycle() over the record's release alone. */
+    Cycle releaseWake() const
+    {
+        return blocked_.release <= now_ ? kWakeNow : blocked_.release;
+    }
 
     /**
      * Model hook for advanceIdle(): account @p n skipped cycles exactly
-     * as n naive stalled ticks would have. Models that return a future
-     * nextWakeCycle() must override this; the base panics because the
-     * base nextWakeCycle() never allows a skip.
+     * as n naive stalled ticks would have. The base bumps the recorded
+     * stall scalar and charges stallCat_; models with per-cycle samples
+     * or deferred attribution extend it.
      */
     virtual void idleAdvance(Cycle n);
 

@@ -21,98 +21,6 @@ InOrderCore::InOrderCore(const CoreParams &params, const Program &program,
 {
 }
 
-Cycle
-InOrderCore::nextWakeCycle() const
-{
-    idle_ = classifyIdle();
-    return idle_.wake;
-}
-
-void
-InOrderCore::idleAdvance(Cycle n)
-{
-    // Each skipped cycle would have failed issueOne() at the same
-    // condition: one stall-scalar bump and one CPI-stack charge apiece.
-    if (idle_.counter)
-        *idle_.counter += n;
-    cpiStack_.add(idle_.cat, n);
-}
-
-Core::IdleClass
-InOrderCore::classifyIdle() const
-{
-    IdleClass ic;
-    if (arch_.halted) {
-        ic.wake = kWakeNever;
-        return ic;
-    }
-    Cycle wake = kWakeNever;
-
-    // Store-buffer drain: a front entry due now does a port access (a
-    // real event, possibly rejected); one due later bounds the skip.
-    if (!storeBuffer_.empty()) {
-        if (storeBuffer_.front().issuableAt <= now_)
-            return ic; // kWakeNow
-        wake = std::min(wake, storeBuffer_.front().issuableAt);
-    }
-
-    // Mirror issueOne()'s first-failing condition: it decides which
-    // stall scalar and CPI category every cycle in the window repeats.
-    if (frontEndReadyAt_ > now_) {
-        ic.wake = std::min(wake, frontEndReadyAt_);
-        ic.cat = trace::CpiCat::Fetch;
-        ic.counter = &stallFetchCycles_;
-        return ic;
-    }
-    std::uint64_t pc = arch_.pc;
-    Addr line = port_.l1i().lineAddr(program_.instAddr(pc));
-    if (line != lastFetchLine_)
-        return ic; // new-line fetch probes the port: act now
-    if (fetchLineReady_ > now_) {
-        ic.wake = std::min(wake, fetchLineReady_);
-        ic.cat = trace::CpiCat::Fetch;
-        ic.counter = &stallFetchCycles_;
-        return ic;
-    }
-
-    const Inst &inst = program_.at(pc);
-    const OpInfo &info = opInfo(inst.op);
-    Cycle op_ready = 0;
-    if (info.readsRs1 && inst.rs1 != 0)
-        op_ready = std::max(op_ready, regReady_[inst.rs1]);
-    if (info.readsRs2 && inst.rs2 != 0)
-        op_ready = std::max(op_ready, regReady_[inst.rs2]);
-    if (op_ready > now_) {
-        bool coh = (info.readsRs1 && inst.rs1 != 0
-                    && regReady_[inst.rs1] > now_ && regCoh_[inst.rs1])
-                   || (info.readsRs2 && inst.rs2 != 0
-                       && regReady_[inst.rs2] > now_ && regCoh_[inst.rs2]);
-        ic.wake = std::min(wake, op_ready);
-        ic.cat = coh ? trace::CpiCat::Coherence : trace::CpiCat::UseStall;
-        ic.counter = &stallUseCycles_;
-        return ic;
-    }
-    if ((info.cls == OpClass::IntDiv || info.cls == OpClass::FpDiv)
-        && divBusyUntil_ > now_) {
-        ic.wake = std::min(wake, divBusyUntil_);
-        ic.cat = trace::CpiCat::UseStall;
-        ic.counter = &stallUseCycles_;
-        return ic;
-    }
-    if (isStore(inst.op)
-        && storeBuffer_.size() >= params_.storeBufferEntries) {
-        // Releases when the buffer drains; wake already bounds the
-        // skip at the front entry's drain attempt.
-        ic.wake = wake;
-        ic.cat = trace::CpiCat::StoreBuf;
-        ic.counter = &stallStoreBufCycles_;
-        return ic;
-    }
-    // A load re-probes the port every attempt (rejected or not), and
-    // anything else would issue: both are this-cycle actions.
-    return ic;
-}
-
 void
 InOrderCore::cycle()
 {
@@ -132,30 +40,33 @@ InOrderCore::drainStoreBuffer()
     if (storeBuffer_.empty())
         return;
     PendingStore &st = storeBuffer_.front();
-    if (st.issuableAt > now_)
-        return;
-    auto res = port_.access(AccessType::Store, st.addr, now_);
-    if (res.rejected) {
-        st.issuableAt = res.retryCycle;
-        return;
+    if (st.issuableAt <= now_) {
+        auto res = port_.access(AccessType::Store, st.addr, now_);
+        if (res.rejected)
+            st.issuableAt = res.retryCycle;
+        else
+            storeBuffer_.pop_front();
     }
-    storeBuffer_.pop_front();
+    // The next drain attempt probes the port: it bounds any skip.
+    if (!storeBuffer_.empty())
+        wakeBy(storeBuffer_.front().issuableAt);
 }
 
 bool
 InOrderCore::issueOne()
 {
+    // The first failing condition is this cycle's blocker: its release
+    // bounds the wake, its scalar and category repeat every skipped
+    // cycle.
     if (frontEndReadyAt_ > now_) {
-        ++stallFetchCycles_;
-        noteStall(trace::CpiCat::Fetch);
+        block(trace::CpiCat::Fetch, frontEndReadyAt_, &stallFetchCycles_);
         return false;
     }
     std::uint64_t pc = arch_.pc;
     Cycle fetchAt = fetchReady(pc);
     if (fetchAt > now_) {
         frontEndReadyAt_ = fetchAt;
-        ++stallFetchCycles_;
-        noteStall(trace::CpiCat::Fetch);
+        block(trace::CpiCat::Fetch, fetchAt, &stallFetchCycles_);
         return false;
     }
 
@@ -163,29 +74,30 @@ InOrderCore::issueOne()
     const OpInfo &info = opInfo(inst.op);
 
     // Scoreboard: every source must be ready this cycle (x0 always is).
-    auto ready = [&](RegId r) { return r == 0 || regReady_[r] <= now_; };
-    if ((info.readsRs1 && !ready(inst.rs1))
-        || (info.readsRs2 && !ready(inst.rs2))) {
-        bool coh = (info.readsRs1 && !ready(inst.rs1) && regCoh_[inst.rs1])
-                   || (info.readsRs2 && !ready(inst.rs2)
-                       && regCoh_[inst.rs2]);
-        ++stallUseCycles_;
-        noteStall(coh ? trace::CpiCat::Coherence : trace::CpiCat::UseStall);
+    auto pending = [&](bool reads, RegId r) {
+        return reads && r != 0 && regReady_[r] > now_;
+    };
+    bool p1 = pending(info.readsRs1, inst.rs1);
+    bool p2 = pending(info.readsRs2, inst.rs2);
+    if (p1 || p2) {
+        bool coh = (p1 && regCoh_[inst.rs1]) || (p2 && regCoh_[inst.rs2]);
+        Cycle ready = std::max(p1 ? regReady_[inst.rs1] : 0,
+                               p2 ? regReady_[inst.rs2] : 0);
+        block(coh ? trace::CpiCat::Coherence : trace::CpiCat::UseStall,
+              ready, &stallUseCycles_);
         return false;
     }
 
     // Structural hazards before committing to execute.
-    if (info.cls == OpClass::IntDiv || info.cls == OpClass::FpDiv) {
-        if (divBusyUntil_ > now_) {
-            ++stallUseCycles_;
-            noteStall(trace::CpiCat::UseStall);
-            return false;
-        }
+    if ((info.cls == OpClass::IntDiv || info.cls == OpClass::FpDiv)
+        && divBusyUntil_ > now_) {
+        block(trace::CpiCat::UseStall, divBusyUntil_, &stallUseCycles_);
+        return false;
     }
     if (isStore(inst.op)
         && storeBuffer_.size() >= params_.storeBufferEntries) {
-        ++stallStoreBufCycles_;
-        noteStall(trace::CpiCat::StoreBuf);
+        // Released by the drain, whose next attempt is already recorded.
+        block(trace::CpiCat::StoreBuf, kWakeNever, &stallStoreBufCycles_);
         return false;
     }
     if (isLoad(inst.op)) {
@@ -200,8 +112,8 @@ InOrderCore::issueOne()
             isAtomic(inst.op) ? AccessType::Store : AccessType::Load;
         auto res = port_.access(type, addr, now_);
         if (res.rejected) {
-            ++stallUseCycles_;
-            noteStall(trace::CpiCat::UseStall);
+            // Re-probes next cycle.
+            block(trace::CpiCat::UseStall, now_, &stallUseCycles_);
             return false;
         }
         exec_.step(arch_);

@@ -27,22 +27,17 @@ class InOrderCore : public Core
 
     const char *model() const override { return "inorder"; }
 
-    Cycle nextWakeCycle() const override;
-
   protected:
     void cycle() override;
-    void idleAdvance(Cycle n) override;
     void saveExtra(snap::Writer &w) const override;
     void loadExtra(snap::Reader &r) override;
 
   private:
-    /** Try to issue the instruction at arch_.pc. @return true on issue. */
+    /** Try to issue the instruction at arch_.pc. @return true on issue;
+     *  on failure the first failing condition is recorded as the
+     *  cycle's blocker. */
     bool issueOne();
     void drainStoreBuffer();
-
-    /** Mirror issueOne()'s first-failing condition for the wake-cycle
-     *  protocol (see Core::nextWakeCycle). */
-    IdleClass classifyIdle() const;
 
     /** Cycle at which each architectural register's value is ready. */
     std::array<Cycle, numArchRegs> regReady_{};
@@ -68,10 +63,6 @@ class InOrderCore : public Core
     Cycle frontEndReadyAt_ = 0;
 
     Executor exec_;
-
-    /** Last classification, cached by nextWakeCycle() for the paired
-     *  advanceIdle() call. */
-    mutable IdleClass idle_;
 
     Scalar &stallUseCycles_;
     Scalar &stallStoreBufCycles_;

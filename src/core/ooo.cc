@@ -31,124 +31,17 @@ OoOCore::cycle()
         return;
     unsigned issued = issueStage();
     unsigned dispatched = dispatchStage();
-    pipeActive_ = issued > 0 || dispatched > 0;
-}
-
-Cycle
-OoOCore::nextWakeCycle() const
-{
-    idle_ = classifyIdle();
-    return idle_.wake;
+    blocked_.acted = issued > 0 || dispatched > 0;
 }
 
 void
 OoOCore::idleAdvance(Cycle n)
 {
-    // Every skipped cycle re-samples the frozen ROB occupancy, bumps at
-    // most one dispatch full-queue counter, and charges the commit
-    // stage's stall category. (Issued->Done flips are left unapplied:
-    // every consumer treats Issued-with-elapsed-doneCycle as Done.)
+    // Every skipped cycle re-samples the frozen ROB occupancy on top of
+    // the recorded stall. (Issued->Done flips are left unapplied: every
+    // consumer treats Issued-with-elapsed-doneCycle as Done.)
     robOccupancy_.sample(rob_.size(), n);
-    if (idle_.counter)
-        *idle_.counter += n;
-    cpiStack_.add(idle_.cat, n);
-}
-
-Core::IdleClass
-OoOCore::classifyIdle() const
-{
-    IdleClass ic;
-    if (arch_.halted) {
-        ic.wake = kWakeNever;
-        return ic;
-    }
-    // An issue or dispatch last tick means in-flight work is advancing:
-    // answer "act now" without walking the ROB. (A window can only
-    // begin on a tick where nothing moved, and that tick reaches the
-    // analysis below.)
-    if (pipeActive_)
-        return ic;
-    Cycle wake = kWakeNever;
-
-    // Commit stage decides the window's CPI category; a committable
-    // head acts this cycle (a store head even re-probes the port).
-    if (rob_.empty()) {
-        ic.cat = trace::CpiCat::Fetch;
-    } else {
-        const RobEntry &head = rob_.front();
-        ic.cat = trace::CpiCat::UseStall;
-        if (head.state != State::Waiting) {
-            if (head.doneCycle <= now_)
-                return ic; // commit or store-retry: act now
-            wake = std::min(wake, head.doneCycle);
-        }
-        // A Waiting head wakes through the issue scan below.
-    }
-
-    // Dispatch stage (cheap; mirrors the stalled slot-0 iteration). The
-    // full-queue counters release via commit/issue events the other
-    // stages already bound; the fetch timers add their own candidates.
-    if (!fetchHalted_ && redirectBlockedOn_ == 0) {
-        if (frontEndReadyAt_ > now_) {
-            wake = std::min(wake, frontEndReadyAt_);
-        } else if (rob_.size() >= params_.robEntries) {
-            ic.counter = &robFullCycles_;
-        } else if (iqOccupancy_ >= params_.issueQueueEntries) {
-            ic.counter = &iqFullCycles_;
-        } else if (isMem(program_.at(arch_.pc).op)
-                   && lsqOccupancy_ >= params_.lsqEntries) {
-            ic.counter = &lsqFullCycles_;
-        } else {
-            Addr line =
-                port_.l1i().lineAddr(program_.instAddr(arch_.pc));
-            if (line != lastFetchLine_)
-                return ic; // new-line fetch probes the port: act now
-            if (fetchLineReady_ <= now_)
-                return ic; // dispatch proceeds this cycle
-            wake = std::min(wake, fetchLineReady_);
-        }
-    }
-
-    // Issue stage: earliest cycle any Waiting entry could issue. An
-    // entry whose producer is itself Waiting wakes via that producer's
-    // issue, which the scan already bounds.
-    for (const RobEntry &e : rob_) {
-        if (e.state != State::Waiting)
-            continue;
-        Cycle t = e.retryAt;
-        bool producer_waiting = false;
-        auto producer = [&](SeqNum seq) {
-            if (seq == 0)
-                return;
-            const RobEntry *p = entryFor(seq);
-            if (!p)
-                return; // already committed
-            if (p->state == State::Waiting)
-                producer_waiting = true;
-            else
-                t = std::max(t, p->doneCycle);
-        };
-        producer(e.src1Producer);
-        producer(e.src2Producer);
-        if (producer_waiting)
-            continue;
-        const OpInfo &info = opInfo(e.inst.op);
-        if (info.cls == OpClass::IntDiv || info.cls == OpClass::FpDiv)
-            t = std::max(t, divBusyUntil_);
-        if (e.isLd) {
-            const RobEntry *st = olderStoreFor(e);
-            if (st && st->state == State::Waiting)
-                continue; // forwards once the store issues
-        }
-        if (t <= now_) {
-            ic.wake = kWakeNow;
-            return ic; // issues this cycle
-        }
-        wake = std::min(wake, t);
-    }
-
-    ic.wake = wake;
-    return ic;
+    Core::idleAdvance(n);
 }
 
 OoOCore::RobEntry *
@@ -161,7 +54,7 @@ OoOCore::entryFor(SeqNum seq)
 }
 
 bool
-OoOCore::producerDone(SeqNum seq, Cycle &readyAt)
+OoOCore::producerIssued(SeqNum seq, Cycle &readyAt)
 {
     if (seq == 0)
         return true;
@@ -171,7 +64,7 @@ OoOCore::producerDone(SeqNum seq, Cycle &readyAt)
     if (prod->state == State::Waiting)
         return false;
     readyAt = std::max(readyAt, prod->doneCycle);
-    return prod->doneCycle <= now_;
+    return true;
 }
 
 OoOCore::RobEntry *
@@ -197,20 +90,23 @@ OoOCore::commitStage()
 {
     unsigned width = params_.fetchWidth;
     if (rob_.empty())
-        noteStall(trace::CpiCat::Fetch);
+        block(trace::CpiCat::Fetch);
     while (width-- > 0 && !rob_.empty()) {
         RobEntry &head = rob_.front();
         if (head.state == State::Waiting || head.doneCycle > now_) {
-            noteStall(trace::CpiCat::UseStall);
+            // A waiting head is bounded by the issue stage's record.
+            block(trace::CpiCat::UseStall,
+                  head.state == State::Waiting ? kWakeNever
+                                               : head.doneCycle);
             break;
         }
         if (head.isSt) {
             // Retire the store into the cache; a rejected access stalls
-            // commit (finite write resources).
+            // commit (finite write resources) and retries next cycle.
             auto res =
                 port_.access(AccessType::Store, head.step.effAddr, now_);
             if (res.rejected) {
-                noteStall(trace::CpiCat::StoreBuf);
+                block(trace::CpiCat::StoreBuf, now_);
                 break;
             }
             ++storesExecuted_;
@@ -240,24 +136,26 @@ OoOCore::issueStage()
             e.state = State::Done;
         if (e.state != State::Waiting)
             continue;
-        if (e.retryAt > now_)
-            continue;
 
-        Cycle readyAt = 0;
-        bool r1 = producerDone(e.src1Producer, readyAt);
-        bool r2 = producerDone(e.src2Producer, readyAt);
-        if (!r1 || !r2)
+        // Earliest issue cycle: MSHR backoff, operands, the divider. An
+        // entry whose producer has not issued yet wakes through that
+        // producer's own record.
+        Cycle readyAt = e.retryAt;
+        if (!producerIssued(e.src1Producer, readyAt)
+            || !producerIssued(e.src2Producer, readyAt))
             continue;
-
         const OpInfo &info = opInfo(e.inst.op);
-        if ((info.cls == OpClass::IntDiv || info.cls == OpClass::FpDiv)
-            && divBusyUntil_ > now_)
+        if (info.cls == OpClass::IntDiv || info.cls == OpClass::FpDiv)
+            readyAt = std::max(readyAt, divBusyUntil_);
+        if (readyAt > now_) {
+            wakeBy(readyAt);
             continue;
+        }
 
         if (e.isLd) {
             if (RobEntry *st = olderStoreFor(e)) {
                 if (st->state == State::Waiting)
-                    continue; // store data not ready; try later
+                    continue; // forwards once the store issues
                 // Forward from the in-flight store.
                 e.doneCycle = std::max(now_, st->doneCycle) + 1;
             } else {
@@ -265,6 +163,7 @@ OoOCore::issueStage()
                                         e.step.effAddr, now_);
                 if (res.rejected) {
                     e.retryAt = res.retryCycle;
+                    wakeBy(e.retryAt);
                     continue;
                 }
                 e.doneCycle = res.readyCycle;
@@ -304,29 +203,36 @@ OoOCore::issueStage()
 unsigned
 OoOCore::dispatchStage()
 {
+    // A blocked redirect or a drained front end is released by the
+    // issue of the branch or the commit of HALT; the fetch timers and
+    // the full queues (released by commit and issue) are recorded here.
     unsigned dispatched = 0;
-    if (fetchHalted_ || redirectBlockedOn_ != 0
-        || frontEndReadyAt_ > now_)
+    if (fetchHalted_ || redirectBlockedOn_ != 0)
         return dispatched;
+    if (frontEndReadyAt_ > now_) {
+        wakeBy(frontEndReadyAt_);
+        return dispatched;
+    }
 
     for (unsigned slot = 0; slot < params_.fetchWidth; ++slot) {
         if (rob_.size() >= params_.robEntries) {
-            ++robFullCycles_;
+            block(trace::CpiCat::Other, kWakeNever, &robFullCycles_);
             return dispatched;
         }
         if (iqOccupancy_ >= params_.issueQueueEntries) {
-            ++iqFullCycles_;
+            block(trace::CpiCat::Other, kWakeNever, &iqFullCycles_);
             return dispatched;
         }
         std::uint64_t pc = arch_.pc;
         const Inst &inst = program_.at(pc);
         if (isMem(inst.op) && lsqOccupancy_ >= params_.lsqEntries) {
-            ++lsqFullCycles_;
+            block(trace::CpiCat::Other, kWakeNever, &lsqFullCycles_);
             return dispatched;
         }
         Cycle fetchAt = fetchReady(pc);
         if (fetchAt > now_) {
             frontEndReadyAt_ = fetchAt;
+            wakeBy(fetchAt);
             return dispatched;
         }
 
@@ -407,7 +313,7 @@ OoOCore::saveExtra(snap::Writer &w) const
     w.u64(frontEndReadyAt_);
     w.u64(redirectBlockedOn_);
     w.b(fetchHalted_);
-    w.b(pipeActive_);
+    w.b(blocked_.acted);
 }
 
 void
@@ -443,7 +349,7 @@ OoOCore::loadExtra(snap::Reader &r)
     frontEndReadyAt_ = r.u64();
     redirectBlockedOn_ = r.u64();
     fetchHalted_ = r.b();
-    pipeActive_ = r.b();
+    blocked_.acted = r.b();
 }
 
 } // namespace sst

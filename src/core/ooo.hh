@@ -29,8 +29,6 @@ class OoOCore : public Core
 
     const char *model() const override { return "ooo"; }
 
-    Cycle nextWakeCycle() const override;
-
   protected:
     void cycle() override;
     void idleAdvance(Cycle n) override;
@@ -66,20 +64,11 @@ class OoOCore : public Core
     unsigned dispatchStage();
 
     RobEntry *entryFor(SeqNum seq);
-    const RobEntry *entryFor(SeqNum seq) const
-    {
-        return const_cast<OoOCore *>(this)->entryFor(seq);
-    }
-    bool producerDone(SeqNum seq, Cycle &readyAt);
-    /** Oldest overlapping in-flight store older than @p seq, if any. */
+    /** False while producer @p seq still waits to issue; otherwise folds
+     *  its completion cycle into @p readyAt. */
+    bool producerIssued(SeqNum seq, Cycle &readyAt);
+    /** Youngest overlapping in-flight store older than @p load, if any. */
     RobEntry *olderStoreFor(const RobEntry &load);
-    const RobEntry *olderStoreFor(const RobEntry &load) const
-    {
-        return const_cast<OoOCore *>(this)->olderStoreFor(load);
-    }
-
-    /** Wake-cycle analysis across commit/issue/dispatch stages. */
-    IdleClass classifyIdle() const;
 
     std::deque<RobEntry> rob_;
     std::array<SeqNum, numArchRegs> lastProducer_{};
@@ -91,15 +80,8 @@ class OoOCore : public Core
     Cycle frontEndReadyAt_ = 0;
     SeqNum redirectBlockedOn_ = 0; ///< unresolved mispredicted branch
     bool fetchHalted_ = false;     ///< HALT dispatched; drain only
-    /** Last tick issued or dispatched something: the pipeline is
-     *  working, so classifyIdle() can answer "act now" without the
-     *  (ROB-scanning) stall analysis. */
-    bool pipeActive_ = false;
 
     Executor exec_;
-
-    /** Cached by nextWakeCycle() for the paired advanceIdle() call. */
-    mutable IdleClass idle_;
 
     Scalar &robFullCycles_;
     Scalar &iqFullCycles_;

@@ -111,7 +111,7 @@ class SmtCore
 #endif
     }
 
-    /** First noted stall per cycle wins (see Core::noteStall). */
+    /** First noted stall per cycle wins (see Core::block). */
     void noteStall(trace::CpiCat cat)
     {
         if (stallCat_ == trace::CpiCat::Other)

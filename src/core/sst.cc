@@ -301,14 +301,16 @@ SstCore::drainStoreBuffer()
     if (storeBuffer_.empty())
         return;
     PendingStore &st = storeBuffer_.front();
-    if (st.issuableAt > now_)
-        return;
-    auto res = port_.access(AccessType::Store, st.addr, now_);
-    if (res.rejected) {
-        st.issuableAt = res.retryCycle;
-        return;
+    if (st.issuableAt <= now_) {
+        auto res = port_.access(AccessType::Store, st.addr, now_);
+        if (res.rejected)
+            st.issuableAt = res.retryCycle;
+        else
+            storeBuffer_.pop_front();
     }
-    storeBuffer_.pop_front();
+    // The next drain attempt probes the port: it bounds any skip.
+    if (!storeBuffer_.empty())
+        wakeBy(storeBuffer_.front().issuableAt);
 }
 
 void
@@ -327,9 +329,9 @@ SstCore::cycle()
         rollback(FailKind::Forced);
     if (epochs_.empty()) {
         normalCycle();
-        // If this tick opened an episode, the pipeline state is fresh:
-        // make the first speculating classify conservative.
-        specProgress_ = true;
+        // Normal mode's own record is the whole story; an episode this
+        // tick opened starts with a naive tick (see nextWakeCycle()).
+        blocked_.acted = true;
         return;
     }
 
@@ -346,285 +348,53 @@ SstCore::cycle()
             params_.fetchWidth > used ? params_.fetchWidth - used : 0;
         ahead_issued = aheadStrand(ahead_slots);
     }
-    specProgress_ = used > 0 || ahead_issued > 0;
+    blocked_.acted = used > 0 || ahead_issued > 0;
     tryCommit();
 }
 
 Cycle
 SstCore::nextWakeCycle() const
 {
-    idle_ = classifyIdle();
-    return idle_.wake;
+    // Events from outside the tick: a remote write's squash rolls back
+    // at the top of the next cycle, and with abort injection armed
+    // every speculating cycle draws from the fault RNG.
+    if (pendingCohSquash_)
+        return kWakeNow;
+    if (arch_.halted)
+        return kWakeNever;
+    if (epochs_.empty())
+        return releaseWake();
+    if (blocked_.acted || port_.faults().params().forceAbortRate > 0)
+        return kWakeNow;
+    return releaseWake();
+}
+
+trace::CpiCat
+SstCore::specCycleCat() const
+{
+    // Queue-pressure stalls keep their own categories; every other
+    // speculating cycle is replay overlap (or value-prediction overlap
+    // while predictions stand in for fills).
+    if (stallCat_ == trace::CpiCat::DqFull
+        || stallCat_ == trace::CpiCat::SsqFull)
+        return stallCat_;
+    return vpOutstanding_ > 0 ? trace::CpiCat::ValuePred
+                              : trace::CpiCat::Replay;
 }
 
 void
 SstCore::idleAdvance(Cycle n)
 {
-    if (idle_.counter)
-        *idle_.counter += n;
-    if (!epochs_.empty()) {
-        // Mirror the speculating tick: one DQ-occupancy sample and one
-        // provisionally attributed cycle apiece (accountCycle() folds
-        // every category except the queue-full pair into Replay).
-        dqOccDist_.sample(dqOccupancy(), n);
-        trace::CpiCat cat = (idle_.cat == trace::CpiCat::DqFull
-                             || idle_.cat == trace::CpiCat::SsqFull)
-                                ? idle_.cat
-                                : (vpOutstanding_ > 0
-                                       ? trace::CpiCat::ValuePred
-                                       : trace::CpiCat::Replay);
-        pendingSpec_[static_cast<std::size_t>(cat)] += n;
+    if (epochs_.empty()) {
+        Core::idleAdvance(n);
         return;
     }
-    cpiStack_.add(idle_.cat, n);
-}
-
-Core::IdleClass
-SstCore::classifyIdle() const
-{
-    IdleClass ic;
-    if (pendingCohSquash_)
-        return ic; // the squash rolls back state this cycle: act now
-    if (arch_.halted) {
-        ic.wake = kWakeNever;
-        return ic;
-    }
-    Cycle wake = kWakeNever;
-
-    // Store-buffer drain: a front entry due now probes the port (a real
-    // event, possibly rejected); one due later bounds the skip.
-    if (!storeBuffer_.empty()) {
-        if (storeBuffer_.front().issuableAt <= now_)
-            return ic; // kWakeNow
-        wake = std::min(wake, storeBuffer_.front().issuableAt);
-    }
-
-    if (epochs_.empty()) {
-        // ---- normal mode: the in-order ladder (normalIssueOne keeps
-        // no per-cycle stall scalars, so only the CPI category matters).
-        if (frontEndReadyAt_ > now_) {
-            ic.wake = std::min(wake, frontEndReadyAt_);
-            ic.cat = trace::CpiCat::Fetch;
-            return ic;
-        }
-        std::uint64_t pc = arch_.pc;
-        Addr line = port_.l1i().lineAddr(program_.instAddr(pc));
-        if (line != lastFetchLine_)
-            return ic; // new-line fetch probes the port: act now
-        if (fetchLineReady_ > now_) {
-            ic.wake = std::min(wake, fetchLineReady_);
-            ic.cat = trace::CpiCat::Fetch;
-            return ic;
-        }
-        const Inst &inst = program_.at(pc);
-        const OpInfo &info = opInfo(inst.op);
-        Cycle op_ready = 0;
-        if (info.readsRs1 && inst.rs1 != 0)
-            op_ready = std::max(op_ready, regReady_[inst.rs1]);
-        if (info.readsRs2 && inst.rs2 != 0)
-            op_ready = std::max(op_ready, regReady_[inst.rs2]);
-        if (op_ready > now_) {
-            bool coh = (info.readsRs1 && inst.rs1 != 0
-                        && regReady_[inst.rs1] > now_ && regCoh_[inst.rs1])
-                       || (info.readsRs2 && inst.rs2 != 0
-                           && regReady_[inst.rs2] > now_
-                           && regCoh_[inst.rs2]);
-            ic.wake = std::min(wake, op_ready);
-            ic.cat = coh ? trace::CpiCat::Coherence
-                         : trace::CpiCat::UseStall;
-            return ic;
-        }
-        if ((info.cls == OpClass::IntDiv || info.cls == OpClass::FpDiv)
-            && divBusyUntil_ > now_) {
-            ic.wake = std::min(wake, divBusyUntil_);
-            ic.cat = trace::CpiCat::UseStall;
-            return ic;
-        }
-        // Loads probe the port (and may enter speculation); anything
-        // else issues: both are this-cycle actions.
-        return ic;
-    }
-
-    // ---- speculating ----
-    // With abort injection armed, every speculating cycle draws from
-    // the fault RNG; skipping any would desynchronise the stream.
-    if (port_.faults().params().forceAbortRate > 0)
-        return ic;
-
-    // An actively issuing or replaying episode (the common case while
-    // scouting) acts every cycle; skip the per-strand analysis.
-    if (specProgress_)
-        return ic;
-
-    if (params_.discardSpecWork) {
-        // Scout: the region ends (rolls back) when the trigger returns.
-        Cycle tr = epochs_.front().triggerReady;
-        if (tr != 0) {
-            if (tr <= now_)
-                return ic;
-            wake = std::min(wake, tr);
-        }
-    } else {
-        // Behind strand: earliest cycle the front DQ entry can replay.
-        // A pass swap or a re-deferral is a per-cycle state change, so
-        // both classify as "act now".
-        const Epoch &front = epochs_.front();
-        if (front.dq.empty())
-            return ic;
-        const DqEntry &entry = front.dq.front();
-        Cycle ready = now_;
-        bool pending = false;
-        auto resolve = [&](const DeferredOperand &op) {
-            if (!op.used || op.captured)
-                return;
-            auto it = replayResults_.find(op.producer);
-            if (it == replayResults_.end())
-                pending = true;
-            else
-                ready = std::max(ready, it->second.readyCycle);
-        };
-        resolve(entry.src1);
-        resolve(entry.src2);
-        if (pending)
-            return ic;
-        if (entry.requestIssued)
-            ready = std::max(ready, entry.readyCycle);
-        if (ready <= now_)
-            return ic; // replays (and possibly probes the port) now
-        wake = std::min(wake, ready);
-    }
-
-    if (aheadHalted_) {
-        ic.wake = wake;
-        return ic;
-    }
-
-    // Ahead strand: mirror aheadIssueOne()'s first-failing condition.
-    bool discard = params_.discardSpecWork;
-    if (aheadFrontEndReadyAt_ > now_) {
-        // No stall scalar on this path; the category stays Other
-        // (folded into Replay while speculating).
-        ic.wake = std::min(wake, aheadFrontEndReadyAt_);
-        return ic;
-    }
-    std::uint64_t pc = aheadPc_;
-    Addr line = port_.l1i().lineAddr(program_.instAddr(pc));
-    if (line != lastFetchLine_)
-        return ic; // new-line fetch probes the port: act now
-    if (fetchLineReady_ > now_) {
-        ic.wake = std::min(wake, fetchLineReady_);
-        return ic;
-    }
-
-    const Inst &inst = program_.at(pc);
-    const OpInfo &info = opInfo(inst.op);
-    bool na1 = info.readsRs1 && inst.rs1 != 0 && na_[inst.rs1];
-    bool na2 = info.readsRs2 && inst.rs2 != 0 && na_[inst.rs2];
-
-    Cycle op_ready = 0;
-    if (info.readsRs1 && !na1 && inst.rs1 != 0)
-        op_ready = std::max(op_ready, specReady_[inst.rs1]);
-    if (info.readsRs2 && !na2 && inst.rs2 != 0)
-        op_ready = std::max(op_ready, specReady_[inst.rs2]);
-    if (op_ready > now_) {
-        ic.counter = &aheadStallUseCycles_;
-        ic.cat = trace::CpiCat::UseStall;
-        ic.wake = std::min(wake, op_ready);
-        return ic;
-    }
-    if ((info.cls == OpClass::IntDiv || info.cls == OpClass::FpDiv)
-        && aheadDivBusyUntil_ > now_) {
-        ic.counter = &aheadStallUseCycles_;
-        ic.cat = trace::CpiCat::UseStall;
-        ic.wake = std::min(wake, aheadDivBusyUntil_);
-        return ic;
-    }
-
-    if (isAtomic(inst.op)) {
-        // Inside an elision the nested atomic aborts it this cycle;
-        // otherwise a barrier stall until the region drains and commits
-        // (bounded by the replay-strand wake above).
-        if (sleActive_)
-            return ic;
-        ic.counter = &aheadStallUseCycles_;
-        ic.cat = trace::CpiCat::UseStall;
-        ic.wake = wake;
-        return ic;
-    }
-
-    if (na1 || na2) {
-        // ---- deferral path; the queue-full stalls release through
-        // replay/commit progress the strand analysis above bounds. ----
-        if (!discard && dqOccupancy() >= dqCapacity_) {
-            ic.counter = &dqFullStallCycles_;
-            ic.cat = trace::CpiCat::DqFull;
-            ic.wake = wake;
-            return ic;
-        }
-        if (isStore(inst.op) && ssqOccupancy() >= ssqCapacity_) {
-            ic.counter = &ssqFullStallCycles_;
-            ic.cat = trace::CpiCat::SsqFull;
-            ic.wake = wake;
-            return ic;
-        }
-        if (inst.op == Opcode::JALR) {
-            bool is_return =
-                inst.rd == 0 && inst.rs1 == 1 && inst.imm == 0;
-            if (!is_return || ras_.empty()) {
-                // Unpredictable target: a pure stall until replay
-                // resolves the register.
-                ic.counter = &naJumpStallCycles_;
-                ic.wake = wake;
-                return ic;
-            }
-            if (params_.maxDeferredBranches != 0
-                && unverifiedBranches_ >= params_.maxDeferredBranches) {
-                ic.counter = &branchThrottleStallCycles_;
-                ic.wake = wake;
-                return ic;
-            }
-            return ic; // defers (pops the RAS) this cycle
-        }
-        if (isCondBranch(inst.op) && params_.maxDeferredBranches != 0
-            && unverifiedBranches_ >= params_.maxDeferredBranches) {
-            ic.counter = &branchThrottleStallCycles_;
-            ic.wake = wake;
-            return ic;
-        }
-        return ic; // defers this cycle
-    }
-
-    if (isLoad(inst.op) && !discard) {
-        // A load parked on an older unresolved store's address stalls
-        // on a full DQ without touching the port; any other load shape
-        // probes the port (or defers) this cycle.
-        std::uint64_t v1 = inst.rs1 == 0 ? 0 : specRegs_[inst.rs1];
-        Addr addr = semantics::effectiveAddr(inst, v1);
-        unsigned size = memAccessSize(inst.op);
-        SeqNum mem_producer = 0;
-        for (const auto &st : ssq_) {
-            if (st.resolved || st.addr == invalidAddr)
-                continue;
-            Addr lo = std::max(st.addr, addr);
-            Addr hi = std::min(st.addr + st.size, addr + size);
-            if (lo < hi)
-                mem_producer = st.seq;
-        }
-        if (mem_producer != 0 && dqOccupancy() >= dqCapacity_) {
-            ic.counter = &dqFullStallCycles_;
-            ic.cat = trace::CpiCat::DqFull;
-            ic.wake = wake;
-            return ic;
-        }
-        return ic;
-    }
-    if (isStore(inst.op) && ssqOccupancy() >= ssqCapacity_) {
-        ic.counter = &ssqFullStallCycles_;
-        ic.cat = trace::CpiCat::SsqFull;
-        ic.wake = wake;
-        return ic;
-    }
-    return ic; // executes (or probes the port) this cycle
+    // Mirror the speculating tick: one DQ-occupancy sample and one
+    // provisionally attributed cycle apiece.
+    if (blocked_.counter)
+        *blocked_.counter += n;
+    dqOccDist_.sample(dqOccupancy(), n);
+    pendingSpec_[static_cast<std::size_t>(specCycleCat())] += n;
 }
 
 void
@@ -641,31 +411,36 @@ SstCore::normalCycle()
 bool
 SstCore::normalIssueOne()
 {
+    // Normal mode keeps no per-cycle stall scalars: the first failing
+    // condition records only its category and release.
     if (frontEndReadyAt_ > now_) {
-        noteStall(trace::CpiCat::Fetch);
+        block(trace::CpiCat::Fetch, frontEndReadyAt_);
         return false;
     }
     std::uint64_t pc = arch_.pc;
     Cycle fetch_at = fetchReady(pc);
     if (fetch_at > now_) {
         frontEndReadyAt_ = fetch_at;
-        noteStall(trace::CpiCat::Fetch);
+        block(trace::CpiCat::Fetch, fetch_at);
         return false;
     }
 
     const Inst &inst = program_.at(pc);
     const OpInfo &info = opInfo(inst.op);
 
-    auto ready = [&](RegId r) { return r == 0 || regReady_[r] <= now_; };
-    if ((info.readsRs1 && !ready(inst.rs1))
-        || (info.readsRs2 && !ready(inst.rs2))) {
-        noteStall(trace::CpiCat::UseStall);
+    Cycle op_ready = 0;
+    if (info.readsRs1 && inst.rs1 != 0)
+        op_ready = std::max(op_ready, regReady_[inst.rs1]);
+    if (info.readsRs2 && inst.rs2 != 0)
+        op_ready = std::max(op_ready, regReady_[inst.rs2]);
+    if (op_ready > now_) {
+        block(trace::CpiCat::UseStall, op_ready);
         return false;
     }
 
     if ((info.cls == OpClass::IntDiv || info.cls == OpClass::FpDiv)
         && divBusyUntil_ > now_) {
-        noteStall(trace::CpiCat::UseStall);
+        block(trace::CpiCat::UseStall, divBusyUntil_);
         return false;
     }
 
@@ -686,7 +461,7 @@ SstCore::normalIssueOne()
                                            : AccessType::Load;
         auto res = port_.access(type, addr, now_);
         if (res.rejected) {
-            noteStall(trace::CpiCat::UseStall);
+            block(trace::CpiCat::UseStall, now_); // re-probes next cycle
             return false;
         }
         if (atomic) {
@@ -879,12 +654,20 @@ SstCore::aheadStrand(unsigned slots)
 bool
 SstCore::aheadIssueOne()
 {
-    if (aheadFrontEndReadyAt_ > now_)
+    // Each failing condition records the strand's blocker. Front-end
+    // stalls keep no scalar and no category (folded into Replay while
+    // speculating); the queue-full, NA-jump, throttle and barrier
+    // stalls are released by replay and commit progress, which the
+    // behind strand's record already bounds.
+    if (aheadFrontEndReadyAt_ > now_) {
+        wakeBy(aheadFrontEndReadyAt_);
         return false;
+    }
     std::uint64_t pc = aheadPc_;
     Cycle fetch_at = fetchReady(pc);
     if (fetch_at > now_) {
         aheadFrontEndReadyAt_ = fetch_at;
+        wakeBy(fetch_at);
         return false;
     }
 
@@ -896,20 +679,20 @@ SstCore::aheadIssueOne()
     bool na2 = info.readsRs2 && inst.rs2 != 0 && na_[inst.rs2];
 
     // Available operands must also be timing-ready (in-order strand).
-    auto timing_ready = [&](bool reads, bool is_na, RegId r) {
-        return !reads || is_na || r == 0 || specReady_[r] <= now_;
-    };
-    if (!timing_ready(info.readsRs1, na1, inst.rs1)
-        || !timing_ready(info.readsRs2, na2, inst.rs2)) {
-        ++aheadStallUseCycles_;
-        noteStall(trace::CpiCat::UseStall);
+    Cycle op_ready = 0;
+    if (info.readsRs1 && !na1 && inst.rs1 != 0)
+        op_ready = std::max(op_ready, specReady_[inst.rs1]);
+    if (info.readsRs2 && !na2 && inst.rs2 != 0)
+        op_ready = std::max(op_ready, specReady_[inst.rs2]);
+    if (op_ready > now_) {
+        block(trace::CpiCat::UseStall, op_ready, &aheadStallUseCycles_);
         return false;
     }
 
     if ((info.cls == OpClass::IntDiv || info.cls == OpClass::FpDiv)
         && aheadDivBusyUntil_ > now_) {
-        ++aheadStallUseCycles_;
-        noteStall(trace::CpiCat::UseStall);
+        block(trace::CpiCat::UseStall, aheadDivBusyUntil_,
+              &aheadStallUseCycles_);
         return false;
     }
 
@@ -923,8 +706,7 @@ SstCore::aheadIssueOne()
             rollback(FailKind::CohConflict);
             return false;
         }
-        ++aheadStallUseCycles_;
-        noteStall(trace::CpiCat::UseStall);
+        block(trace::CpiCat::UseStall, kWakeNever, &aheadStallUseCycles_);
         return false;
     }
 
@@ -957,14 +739,12 @@ SstCore::aheadIssueOne()
     if (na1 || na2) {
         // ---- deferral path ----
         if (!discard && dqOccupancy() >= dqCapacity_) {
-            ++dqFullStallCycles_;
-            noteStall(trace::CpiCat::DqFull);
+            block(trace::CpiCat::DqFull, kWakeNever, &dqFullStallCycles_);
             return false;
         }
         bool is_store = isStore(inst.op);
         if (is_store && ssqOccupancy() >= ssqCapacity_) {
-            ++ssqFullStallCycles_;
-            noteStall(trace::CpiCat::SsqFull);
+            block(trace::CpiCat::SsqFull, kWakeNever, &ssqFullStallCycles_);
             return false;
         }
 
@@ -979,7 +759,7 @@ SstCore::aheadIssueOne()
             bool is_return =
                 inst.rd == 0 && inst.rs1 == 1 && inst.imm == 0;
             if (!is_return || ras_.empty()) {
-                ++naJumpStallCycles_;
+                block(trace::CpiCat::Other, kWakeNever, &naJumpStallCycles_);
                 return false;
             }
             // Check the throttle before popping: a failing attempt must
@@ -987,7 +767,8 @@ SstCore::aheadIssueOne()
             // cycle).
             if (params_.maxDeferredBranches != 0
                 && unverifiedBranches_ >= params_.maxDeferredBranches) {
-                ++branchThrottleStallCycles_;
+                block(trace::CpiCat::Other, kWakeNever,
+                      &branchThrottleStallCycles_);
                 return false;
             }
             std::uint64_t pred = ras_.pop();
@@ -1012,7 +793,8 @@ SstCore::aheadIssueOne()
         if (isCondBranch(inst.op)) {
             if (params_.maxDeferredBranches != 0
                 && unverifiedBranches_ >= params_.maxDeferredBranches) {
-                ++branchThrottleStallCycles_;
+                block(trace::CpiCat::Other, kWakeNever,
+                      &branchThrottleStallCycles_);
                 nextSeq_ = entry.seq; // un-consume the sequence number
                 return false;
             }
@@ -1097,8 +879,8 @@ SstCore::aheadIssueOne()
         }
         if (mem_producer != 0 && !discard) {
             if (dqOccupancy() >= dqCapacity_) {
-                ++dqFullStallCycles_;
-                noteStall(trace::CpiCat::DqFull);
+                block(trace::CpiCat::DqFull, kWakeNever,
+                      &dqFullStallCycles_);
                 return false;
             }
             DqEntry entry;
@@ -1121,8 +903,8 @@ SstCore::aheadIssueOne()
 
         auto res = port_.access(AccessType::Load, addr, now_);
         if (res.rejected) {
-            ++aheadStallUseCycles_;
-            noteStall(trace::CpiCat::UseStall);
+            // Re-probes next cycle.
+            block(trace::CpiCat::UseStall, now_, &aheadStallUseCycles_);
             return false;
         }
 
@@ -1221,8 +1003,7 @@ SstCore::aheadIssueOne()
             return true;
         }
         if (ssqOccupancy() >= ssqCapacity_) {
-            ++ssqFullStallCycles_;
-            noteStall(trace::CpiCat::SsqFull);
+            block(trace::CpiCat::SsqFull, kWakeNever, &ssqFullStallCycles_);
             return false;
         }
         SeqNum seq = nextSeq_++;
@@ -1309,6 +1090,33 @@ SstCore::aheadIssueOne()
     }
 }
 
+bool
+SstCore::resolveReplay(const DqEntry &entry, std::uint64_t &v1,
+                       std::uint64_t &v2, Cycle &ready) const
+{
+    bool pending = false;
+    auto resolve = [&](const DeferredOperand &op, std::uint64_t &out) {
+        if (!op.used)
+            return;
+        if (op.captured) {
+            out = op.value;
+            return;
+        }
+        auto it = replayResults_.find(op.producer);
+        if (it == replayResults_.end()) {
+            pending = true;
+            return;
+        }
+        out = it->second.value;
+        ready = std::max(ready, it->second.readyCycle);
+    };
+    resolve(entry.src1, v1);
+    resolve(entry.src2, v2);
+    if (entry.requestIssued)
+        ready = std::max(ready, entry.readyCycle);
+    return !pending;
+}
+
 unsigned
 SstCore::replayStrand(unsigned slots)
 {
@@ -1318,8 +1126,16 @@ SstCore::replayStrand(unsigned slots)
         if (epoch.dq.empty()) {
             if (epoch.redeferred.empty())
                 break; // drained; commit happens in tryCommit()
+            // The pass boundary costs the rest of this cycle; the new
+            // front entry's readiness is the strand's blocker (a
+            // still-pending one re-defers next cycle).
             epoch.dq.swap(epoch.redeferred);
-            break; // pass boundary costs the rest of this cycle
+            std::uint64_t v1 = 0;
+            std::uint64_t v2 = 0;
+            Cycle ready = now_;
+            wakeBy(resolveReplay(epoch.dq.front(), v1, v2, ready) ? ready
+                                                                  : now_);
+            break;
         }
 
         DqEntry &entry = epoch.dq.front();
@@ -1328,29 +1144,9 @@ SstCore::replayStrand(unsigned slots)
 
         // Resolve operands against the replay results.
         Cycle ready = now_;
-        bool pending = false;
         std::uint64_t v1 = 0;
         std::uint64_t v2 = 0;
-        auto resolve = [&](const DeferredOperand &op,
-                           std::uint64_t &out) {
-            if (!op.used)
-                return;
-            if (op.captured) {
-                out = op.value;
-                return;
-            }
-            auto it = replayResults_.find(op.producer);
-            if (it == replayResults_.end()) {
-                pending = true;
-                return;
-            }
-            out = it->second.value;
-            ready = std::max(ready, it->second.readyCycle);
-        };
-        resolve(entry.src1, v1);
-        resolve(entry.src2, v2);
-
-        if (pending) {
+        if (!resolveReplay(entry, v1, v2, ready)) {
             ++redeferredInsts_;
             record(trace::TraceKind::Redefer, trace::TraceStrand::Behind,
                    entry.pc, entry.seq);
@@ -1358,10 +1154,10 @@ SstCore::replayStrand(unsigned slots)
             epoch.dq.pop_front();
             continue; // bookkeeping only; no execution slot consumed
         }
-        if (entry.requestIssued)
-            ready = std::max(ready, entry.readyCycle);
-        if (ready > now_)
-            break; // behind strand waits for data
+        if (ready > now_) {
+            wakeBy(ready); // behind strand waits for data
+            break;
+        }
 
         switch (info.cls) {
           case OpClass::Load: {
@@ -1371,8 +1167,10 @@ SstCore::replayStrand(unsigned slots)
             Addr addr = semantics::effectiveAddr(inst, v1);
             unsigned size = memAccessSize(inst.op);
             auto res = port_.access(AccessType::Load, addr, now_);
-            if (res.rejected)
-                return used; // retry next cycle
+            if (res.rejected) {
+                wakeBy(now_); // retry next cycle
+                return used;
+            }
             if (!res.l1Hit && !entry.requestIssued) {
                 // The replayed load misses: issue and re-defer.
                 entry.requestIssued = true;
@@ -1516,9 +1314,12 @@ SstCore::tryCommit()
         return;
 
     if (params_.discardSpecWork) {
+        // Scout: the region ends (rolls back) when the trigger returns.
         Epoch &front = epochs_.front();
         if (front.triggerReady != 0 && front.triggerReady <= now_)
             rollback(FailKind::ScoutEnd);
+        else if (front.triggerReady != 0)
+            wakeBy(front.triggerReady);
         return;
     }
 
@@ -1653,6 +1454,9 @@ SstCore::commitAll()
 void
 SstCore::rollback(FailKind kind)
 {
+    // Speculative state is gone: whatever the strands recorded no
+    // longer describes the next cycle.
+    wakeBy(now_);
     Epoch &front = epochs_.front();
     discardedInsts_ += nextSeq_ - front.startSeq;
     switch (kind) {
@@ -1742,13 +1546,7 @@ SstCore::accountCycle(std::uint64_t retired)
     // epochs_ is the post-cycle() state, so a mid-cycle commit-all
     // (retired > 0) or rollback is already accounted correctly.
     if (!epochs_.empty() && retired == 0) {
-        trace::CpiCat cat = (stallCat_ == trace::CpiCat::DqFull
-                             || stallCat_ == trace::CpiCat::SsqFull)
-                                ? stallCat_
-                                : (vpOutstanding_ > 0
-                                       ? trace::CpiCat::ValuePred
-                                       : trace::CpiCat::Replay);
-        ++pendingSpec_[static_cast<std::size_t>(cat)];
+        ++pendingSpec_[static_cast<std::size_t>(specCycleCat())];
         return;
     }
     Core::accountCycle(retired);
@@ -1828,7 +1626,7 @@ SstCore::saveExtra(snap::Writer &w) const
         w.u64(v);
     w.u64(aheadPc_);
     w.b(aheadHalted_);
-    w.b(specProgress_);
+    w.b(blocked_.acted);
     w.u64(aheadFrontEndReadyAt_);
     w.u64(aheadDivBusyUntil_);
     for (Cycle v : regReady_)
@@ -1952,7 +1750,7 @@ SstCore::loadExtra(snap::Reader &r)
         v = r.u64();
     aheadPc_ = r.u64();
     aheadHalted_ = r.b();
-    specProgress_ = r.b();
+    blocked_.acted = r.b();
     aheadFrontEndReadyAt_ = r.u64();
     aheadDivBusyUntil_ = r.u64();
     for (Cycle &v : regReady_)

@@ -223,9 +223,15 @@ class SstCore : public Core, public CohClient
                           trace::CpiCat discardCat =
                               trace::CpiCat::RollbackDiscard);
 
-    /** Wake-cycle analysis across the store buffer, the behind strand's
-     *  replay front and the ahead strand's first-failing condition. */
-    IdleClass classifyIdle() const;
+    /** Provisional CPI category of a speculating cycle that retired
+     *  nothing (see accountCycle()). */
+    trace::CpiCat specCycleCat() const;
+
+    /** Resolve @p entry's operands against the replay results into
+     *  @p v1/@p v2 and raise @p ready to its fill and producer
+     *  latencies. @return false while a producer has not replayed. */
+    bool resolveReplay(const DqEntry &entry, std::uint64_t &v1,
+                       std::uint64_t &v2, Cycle &ready) const;
 
     /** Speculating cycles charged but not yet assigned a final CPI
      *  category (indexed by provisional CpiCat). */
@@ -238,11 +244,6 @@ class SstCore : public Core, public CohClient
     std::array<Cycle, numArchRegs> specReady_{};
     std::uint64_t aheadPc_ = 0;
     bool aheadHalted_ = false;
-    /** A strand issued or replayed last tick: the episode is actively
-     *  working, so classifyIdle() answers "act now" without the full
-     *  stall analysis. Reset optimistically on every normal-mode tick
-     *  so a freshly opened episode starts conservative. */
-    bool specProgress_ = false;
     Cycle aheadFrontEndReadyAt_ = 0;
     Cycle aheadDivBusyUntil_ = 0;
 
@@ -311,9 +312,6 @@ class SstCore : public Core, public CohClient
     std::uint64_t lastRollbackCommitted_ = ~std::uint64_t{0};
     unsigned consecutiveFails_ = 0;
     std::uint64_t suppressTriggerPc_ = ~std::uint64_t{0};
-
-    /** Cached by nextWakeCycle() for the paired advanceIdle() call. */
-    mutable IdleClass idle_;
 
     // --- stats ---
     Scalar &checkpointsTaken_;

@@ -29,14 +29,10 @@ envDisabled()
 bool
 fastForwardEnabled()
 {
-#if SST_DISABLE_FASTFWD
-    return false;
-#else
     int f = gForce.load(std::memory_order_relaxed);
     if (f >= 0)
         return f != 0;
     return !envDisabled();
-#endif
 }
 
 void

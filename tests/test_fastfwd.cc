@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "common/config.hh"
 #include "common/stats.hh"
 #include "sim/cmp.hh"
 #include "sim/fastfwd.hh"
@@ -34,12 +35,74 @@ using test::workloadProgram;
 namespace
 {
 
+/** One differential case: a preset on a workload with config overrides
+ *  ("key=value" assignments) at a workload length scale. */
+struct Case
+{
+    std::string preset;
+    std::string workload;
+    std::vector<std::string> overrides;
+    double lengthScale = 0.1;
+};
+
+MachineConfig
+caseConfig(const std::string &preset,
+           const std::vector<std::string> &overrides)
+{
+    MachineConfig mc = makePreset(preset);
+    Config cfg;
+    for (const auto &kv : overrides)
+        cfg.parseAssignment(kv);
+    applyOverrides(mc, cfg);
+    return mc;
+}
+
+std::string
+caseName(const Case &c)
+{
+    std::string name = c.preset + " / " + c.workload;
+    for (const auto &kv : c.overrides)
+        name += " " + kv;
+    return name;
+}
+
+/**
+ * The differential sweep: every preset on the shared workloads plus two
+ * L1-resident compute programs, then feature configurations that reach
+ * stall paths the default presets leave cold (value prediction with
+ * per-strand history, queue-full and deferred-branch throttle stalls,
+ * forced aborts).
+ */
+std::vector<Case>
+differentialCases()
+{
+    std::vector<std::string> workloads = kWorkloads;
+    workloads.push_back("compute_kernel");
+    workloads.push_back("sorted_merge");
+    std::vector<Case> cases;
+    for (const auto &wl : workloads)
+        for (const auto &preset : kAllPresets)
+            cases.push_back({preset, wl, {}});
+    // sst2 x list_walk is the slow rollback pathology: keep it short.
+    cases.push_back({"sst2", "list_walk",
+                     {"core.value_pred=stride", "core.strand_history=on"},
+                     0.05});
+    const std::vector<std::string> tight = {
+        "core.dq_entries=4", "core.ssq_entries=2",
+        "core.max_deferred_branches=1"};
+    for (const char *preset : {"sst2", "sst4"})
+        for (const char *wl : {"oltp_mix", "hash_join"})
+            cases.push_back({preset, wl, tight});
+    cases.push_back({"sst2", "oltp_mix", {"fault.force_abort_rate=0.001"}});
+    return cases;
+}
+
 RunResult
-runOnce(const std::string &preset, const Program &program, bool fastfwd,
+runOnce(const Case &c, const Program &program, bool fastfwd,
         trace::TraceBuffer *buf)
 {
     setFastForward(fastfwd);
-    Machine machine(makePreset(preset), program);
+    Machine machine(caseConfig(c.preset, c.overrides), program);
     if (buf)
         machine.attachTraceBuffer(buf);
     RunResult res = machine.run();
@@ -49,45 +112,72 @@ runOnce(const std::string &preset, const Program &program, bool fastfwd,
 
 } // namespace
 
-/** The headline invariant: every preset × workload, skip on == skip
- *  off, down to every stat and every structured trace event. */
+/** The headline invariant: every case, skip on == skip off, down to
+ *  every stat and every structured trace event. */
 TEST(FastForward, DifferentialAllPresets)
 {
-    for (const auto &wl : kWorkloads) {
-        Program program = workloadProgram(wl);
-        for (const auto &preset : kAllPresets) {
-            SCOPED_TRACE(preset + " / " + wl);
-            trace::TraceBuffer naiveTrace;
-            trace::TraceBuffer fastTrace;
-            RunResult naive = runOnce(preset, program, false, &naiveTrace);
-            RunResult fast = runOnce(preset, program, true, &fastTrace);
+    for (const Case &c : differentialCases()) {
+        SCOPED_TRACE(caseName(c));
+        WorkloadParams wp;
+        wp.lengthScale = c.lengthScale;
+        Program program = makeWorkload(c.workload, wp).program;
+        trace::TraceBuffer naiveTrace;
+        trace::TraceBuffer fastTrace;
+        RunResult naive = runOnce(c, program, false, &naiveTrace);
+        RunResult fast = runOnce(c, program, true, &fastTrace);
 
-            EXPECT_EQ(naive.cycles, fast.cycles);
-            EXPECT_EQ(naive.insts, fast.insts);
-            EXPECT_EQ(naive.ipc, fast.ipc);
-            EXPECT_EQ(naive.finished, fast.finished);
-            EXPECT_EQ(naive.degrade, fast.degrade);
-            EXPECT_EQ(naive.l1dMissRate, fast.l1dMissRate);
-            EXPECT_EQ(naive.meanDemandMlp, fast.meanDemandMlp);
-            EXPECT_EQ(naive.mispredictRate, fast.mispredictRate);
-            expectStatsEqual(naive.stats, fast.stats);
-            expectTracesEqual(naiveTrace, fastTrace);
-        }
+        EXPECT_EQ(naive.cycles, fast.cycles);
+        EXPECT_EQ(naive.insts, fast.insts);
+        EXPECT_EQ(naive.ipc, fast.ipc);
+        EXPECT_EQ(naive.finished, fast.finished);
+        EXPECT_EQ(naive.degrade, fast.degrade);
+        EXPECT_EQ(naive.l1dMissRate, fast.l1dMissRate);
+        EXPECT_EQ(naive.meanDemandMlp, fast.meanDemandMlp);
+        EXPECT_EQ(naive.mispredictRate, fast.mispredictRate);
+        expectStatsEqual(naive.stats, fast.stats);
+        expectTracesEqual(naiveTrace, fastTrace);
     }
 }
 
-/** Same invariant for the CMP lockstep loop (shared L2/DRAM). */
+/** Same invariant for the CMP lockstep loop (shared L2/DRAM), plus a
+ *  coherent chip eliding locks through a two-entry SSQ. */
 TEST(FastForward, DifferentialCmp)
 {
-    Program program = workloadProgram("oltp_mix");
-    std::vector<const Program *> programs{&program, &program};
-    for (const auto &preset : {"inorder", "sst4", "ooo-large"}) {
-        SCOPED_TRACE(preset);
+    struct CmpCase
+    {
+        std::string preset;
+        std::string workload;
+        unsigned cores;
+        std::vector<std::string> overrides;
+    };
+    const std::vector<CmpCase> cases = {
+        {"inorder", "oltp_mix", 2, {}},
+        {"sst4", "oltp_mix", 2, {}},
+        {"ooo-large", "oltp_mix", 2, {}},
+        {"sst2", "spinlock_counter", 4,
+         {"coh.enabled=true", "core.elide_locks=on", "core.ssq_entries=2"}},
+    };
+    for (const CmpCase &c : cases) {
+        SCOPED_TRACE(c.preset + " / " + c.workload);
+        MachineConfig mc = caseConfig(c.preset, c.overrides);
+        WorkloadParams wp;
+        wp.lengthScale = 0.1;
+        std::vector<Program> owned;
+        if (mc.mem.coh.enabled) {
+            for (Workload &w : makeSharedWorkload(c.workload, c.cores, wp))
+                owned.push_back(std::move(w.program));
+        } else {
+            owned.assign(c.cores, makeWorkload(c.workload, wp).program);
+        }
+        std::vector<const Program *> programs;
+        for (const Program &p : owned)
+            programs.push_back(&p);
+
         setFastForward(false);
-        Cmp naiveCmp(makePreset(preset), programs);
+        Cmp naiveCmp(mc, programs);
         CmpResult naive = naiveCmp.run();
         setFastForward(true);
-        Cmp fastCmp(makePreset(preset), programs);
+        Cmp fastCmp(mc, programs);
         CmpResult fast = fastCmp.run();
         clearFastForwardOverride();
 
@@ -116,7 +206,7 @@ TEST(FastForward, DifferentialCmp)
 TEST(FastForward, WakeIsNeverPremature)
 {
     Program program = workloadProgram("oltp_mix");
-    for (const auto &preset : {"inorder", "scout", "sst4", "ooo-large"}) {
+    for (const auto &preset : kAllPresets) {
         SCOPED_TRACE(preset);
         setFastForward(false);
         Machine machine(makePreset(preset), program);
@@ -172,9 +262,7 @@ TEST(FastForward, OverrideSwitch)
 {
     setFastForward(false);
     EXPECT_FALSE(fastForwardEnabled());
-#if !SST_DISABLE_FASTFWD
     setFastForward(true);
     EXPECT_TRUE(fastForwardEnabled());
-#endif
     clearFastForwardOverride();
 }
