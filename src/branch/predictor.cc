@@ -246,122 +246,76 @@ ReturnAddressStack::pop()
 namespace
 {
 
+template <class Io>
 void
-saveByteTable(snap::Writer &w, const std::vector<std::uint8_t> &table)
+byteTable(Io &s, std::vector<std::uint8_t> &table)
 {
-    w.u32(static_cast<std::uint32_t>(table.size()));
-    w.bytes(table.data(), table.size());
-}
-
-void
-loadByteTable(snap::Reader &r, std::vector<std::uint8_t> &table)
-{
-    std::uint32_t n = r.u32();
-    fatal_if(n != table.size(),
-             "snapshot: predictor table has %u entries, expected %zu "
-             "(configuration mismatch)",
-             n, table.size());
-    r.bytes(table.data(), table.size());
+    s.expect(static_cast<std::uint32_t>(table.size()),
+             "predictor table entries");
+    s.bytes(table.data(), table.size());
 }
 
 } // namespace
 
+template <class Io>
 void
-BimodalPredictor::save(snap::Writer &w) const
+BimodalPredictor::state(Io &s)
 {
-    saveByteTable(w, table_);
+    byteTable(s, table_);
 }
 
+template <class Io>
 void
-BimodalPredictor::load(snap::Reader &r)
+GsharePredictor::state(Io &s)
 {
-    loadByteTable(r, table_);
+    byteTable(s, table_);
+    s.u64(history_[0]);
+    s.u64(history_[1]);
+    s.u32(strand_);
 }
 
+template <class Io>
 void
-GsharePredictor::save(snap::Writer &w) const
+TournamentPredictor::state(Io &s)
 {
-    saveByteTable(w, table_);
-    w.u64(history_[0]);
-    w.u64(history_[1]);
-    w.u32(strand_);
+    bimodal_.io(s);
+    gshare_.io(s);
+    byteTable(s, chooser_);
+    s.b(lastBimodal_);
+    s.b(lastGshare_);
 }
 
+template <class Io>
 void
-GsharePredictor::load(snap::Reader &r)
+Btb::io(Io &s)
 {
-    loadByteTable(r, table_);
-    history_[0] = r.u64();
-    history_[1] = r.u64();
-    strand_ = r.u32();
-}
-
-void
-TournamentPredictor::save(snap::Writer &w) const
-{
-    bimodal_.save(w);
-    gshare_.save(w);
-    saveByteTable(w, chooser_);
-    w.b(lastBimodal_);
-    w.b(lastGshare_);
-}
-
-void
-TournamentPredictor::load(snap::Reader &r)
-{
-    bimodal_.load(r);
-    gshare_.load(r);
-    loadByteTable(r, chooser_);
-    lastBimodal_ = r.b();
-    lastGshare_ = r.b();
-}
-
-void
-Btb::save(snap::Writer &w) const
-{
-    w.u32(static_cast<std::uint32_t>(entries_.size()));
-    for (const Entry &e : entries_) {
-        w.u64(e.tag);
-        w.u64(e.target);
-    }
-}
-
-void
-Btb::load(snap::Reader &r)
-{
-    std::uint32_t n = r.u32();
-    fatal_if(n != entries_.size(),
-             "snapshot: BTB has %u entries, expected %zu "
-             "(configuration mismatch)",
-             n, entries_.size());
+    s.expect(static_cast<std::uint32_t>(entries_.size()), "BTB entries");
     for (Entry &e : entries_) {
-        e.tag = r.u64();
-        e.target = r.u64();
+        s.u64(e.tag);
+        s.u64(e.target);
     }
 }
 
+template <class Io>
 void
-ReturnAddressStack::save(snap::Writer &w) const
+ReturnAddressStack::io(Io &s)
 {
-    w.u32(static_cast<std::uint32_t>(stack_.size()));
-    for (std::uint64_t v : stack_)
-        w.u64(v);
-    w.u32(top_);
-    w.u32(count_);
+    s.expect(static_cast<std::uint32_t>(stack_.size()), "RAS depth");
+    for (std::uint64_t &v : stack_)
+        s.u64(v);
+    s.u32(top_);
+    s.u32(count_);
 }
 
-void
-ReturnAddressStack::load(snap::Reader &r)
-{
-    std::uint32_t n = r.u32();
-    fatal_if(n != stack_.size(),
-             "snapshot: RAS depth %u, expected %zu (configuration "
-             "mismatch)",
-             n, stack_.size());
-    for (std::uint64_t &v : stack_)
-        v = r.u64();
-    top_ = r.u32();
-    count_ = r.u32();
-}
+template void BimodalPredictor::state(snap::Writer &);
+template void BimodalPredictor::state(snap::Reader &);
+template void GsharePredictor::state(snap::Writer &);
+template void GsharePredictor::state(snap::Reader &);
+template void TournamentPredictor::state(snap::Writer &);
+template void TournamentPredictor::state(snap::Reader &);
+template void Btb::io(snap::Writer &);
+template void Btb::io(snap::Reader &);
+template void ReturnAddressStack::io(snap::Writer &);
+template void ReturnAddressStack::io(snap::Reader &);
 
 } // namespace sst

@@ -36,10 +36,11 @@ class BranchPredictor
   public:
     virtual ~BranchPredictor() = default;
 
-    /** Serialize tables + history. load() assumes a predictor of the
-     *  same kind and geometry (configuration is not serialized). */
-    virtual void save(snap::Writer &) const {}
-    virtual void load(snap::Reader &) {}
+    /** Snapshot tables + history. Loading assumes a predictor of the
+     *  same kind and geometry (configuration is not serialized). Each
+     *  kind forwards both visitors to one state() template. */
+    virtual void io(snap::Writer &) {}
+    virtual void io(snap::Reader &) {}
 
     /** Predict the direction of the branch at @p pc. */
     virtual bool predict(std::uint64_t pc) = 0;
@@ -120,10 +121,11 @@ class BimodalPredictor : public BranchPredictor
     void update(std::uint64_t pc, bool taken) override;
     const char *name() const override { return "bimodal"; }
 
-    void save(snap::Writer &w) const override;
-    void load(snap::Reader &r) override;
+    void io(snap::Writer &s) override { state(s); }
+    void io(snap::Reader &s) override { state(s); }
 
   private:
+    template <class Io> void state(Io &s);
     unsigned index(std::uint64_t pc) const;
     std::vector<std::uint8_t> table_;
     unsigned mask_;
@@ -163,10 +165,11 @@ class GsharePredictor : public BranchPredictor
     }
     const char *name() const override { return "gshare"; }
 
-    void save(snap::Writer &w) const override;
-    void load(snap::Reader &r) override;
+    void io(snap::Writer &s) override { state(s); }
+    void io(snap::Reader &s) override { state(s); }
 
   private:
+    template <class Io> void state(Io &s);
     unsigned index(std::uint64_t pc) const;
     std::vector<std::uint8_t> table_;
     unsigned mask_;
@@ -197,10 +200,11 @@ class TournamentPredictor : public BranchPredictor
     }
     const char *name() const override { return "tournament"; }
 
-    void save(snap::Writer &w) const override;
-    void load(snap::Reader &r) override;
+    void io(snap::Writer &s) override { state(s); }
+    void io(snap::Reader &s) override { state(s); }
 
   private:
+    template <class Io> void state(Io &s);
     BimodalPredictor bimodal_;
     GsharePredictor gshare_;
     std::vector<std::uint8_t> chooser_;
@@ -236,8 +240,7 @@ class Btb
 
     static constexpr std::uint64_t invalidTarget = ~std::uint64_t{0};
 
-    void save(snap::Writer &w) const;
-    void load(snap::Reader &r);
+    template <class Io> void io(Io &s);
 
   private:
     struct Entry
@@ -265,8 +268,7 @@ class ReturnAddressStack
 
     static constexpr std::uint64_t invalidTarget = ~std::uint64_t{0};
 
-    void save(snap::Writer &w) const;
-    void load(snap::Reader &r);
+    template <class Io> void io(Io &s);
 
   private:
     std::vector<std::uint64_t> stack_;

@@ -151,36 +151,23 @@ ValuePredictor::reset()
         e = Entry{};
 }
 
+template <class Io>
 void
-ValuePredictor::save(snap::Writer &w) const
+ValuePredictor::io(Io &s)
 {
-    w.u32(static_cast<std::uint32_t>(table_.size()));
-    for (const Entry &e : table_) {
-        w.u64(e.tag);
-        w.u64(e.lastValue);
-        w.u64(static_cast<std::uint64_t>(e.stride));
-        w.u32(e.tipDistance);
-        w.u8(e.confidence);
-        w.u8(e.needAnchor ? 1 : 0);
+    s.expect(static_cast<std::uint32_t>(table_.size()),
+             "value-predictor entries");
+    for (Entry &e : table_) {
+        s.u64(e.tag);
+        s.u64(e.lastValue);
+        s.u64(e.stride);
+        s.u32(e.tipDistance);
+        s.u8(e.confidence);
+        s.u8(e.needAnchor);
     }
 }
 
-void
-ValuePredictor::load(snap::Reader &r)
-{
-    std::uint32_t n = r.u32();
-    fatal_if(n != table_.size(),
-             "snapshot: value-predictor table has %u entries, expected "
-             "%zu (configuration mismatch)",
-             n, table_.size());
-    for (Entry &e : table_) {
-        e.tag = r.u64();
-        e.lastValue = r.u64();
-        e.stride = static_cast<std::int64_t>(r.u64());
-        e.tipDistance = r.u32();
-        e.confidence = r.u8();
-        e.needAnchor = r.u8() != 0;
-    }
-}
+template void ValuePredictor::io(snap::Writer &);
+template void ValuePredictor::io(snap::Reader &);
 
 } // namespace sst

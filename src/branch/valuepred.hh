@@ -56,12 +56,6 @@
 namespace sst
 {
 
-namespace snap
-{
-class Writer;
-class Reader;
-} // namespace snap
-
 /** Prediction scheme selected by core.value_pred. */
 enum class ValuePredKind
 {
@@ -134,8 +128,7 @@ class ValuePredictor
 
     void reset();
 
-    void save(snap::Writer &w) const;
-    void load(snap::Reader &r);
+    template <class Io> void io(Io &s);
 
   private:
     struct Entry

@@ -107,48 +107,47 @@ Directory::lineState(Addr line) const
     return it == lines_.end() ? CohLine{} : it->second;
 }
 
+template <class Io>
 void
-Directory::save(snap::Writer &w) const
+Directory::io(Io &s)
 {
-    w.tag("coh-dir");
-    std::vector<Addr> keys;
-    keys.reserve(lines_.size());
-    for (const auto &kv : lines_)
-        keys.push_back(kv.first);
-    std::sort(keys.begin(), keys.end());
-    w.u64(keys.size());
-    for (Addr key : keys) {
-        const CohLine &st = lines_.at(key);
-        w.u64(key);
-        w.u64(st.sharers);
-        w.i32(st.owner);
+    s.tag("coh-dir");
+    if constexpr (Io::loading) {
+        lines_.clear();
+        std::size_t n = s.count(snap::Width::u64, 0, 20);
+        lines_.reserve(n); // one rehash, not log2(n) incremental ones
+        Addr prev = 0;
+        for (std::size_t i = 0; i < n; ++i) {
+            Addr key = 0;
+            s.u64(key);
+            fatal_if(i > 0 && key <= prev,
+                     "snapshot: directory lines out of order");
+            prev = key;
+            CohLine st;
+            s.u64(st.sharers);
+            s.i32(st.owner);
+            lines_.emplace(key, st);
+        }
+    } else {
+        std::vector<Addr> keys;
+        keys.reserve(lines_.size());
+        for (const auto &kv : lines_)
+            keys.push_back(kv.first);
+        std::sort(keys.begin(), keys.end());
+        s.count(snap::Width::u64, keys.size(), 20);
+        for (Addr key : keys) {
+            CohLine &st = lines_.at(key);
+            s.u64(key);
+            s.u64(st.sharers);
+            s.i32(st.owner);
+        }
     }
-    w.u64(invalidations_);
-    w.u64(interventions_);
-    w.u64(upgrades_);
+    s.u64(invalidations_);
+    s.u64(interventions_);
+    s.u64(upgrades_);
 }
 
-void
-Directory::load(snap::Reader &r)
-{
-    r.tag("coh-dir");
-    lines_.clear();
-    std::uint64_t n = r.u64();
-    lines_.reserve(n); // one rehash, not log2(n) incremental ones
-    Addr prev = 0;
-    for (std::uint64_t i = 0; i < n; ++i) {
-        Addr key = r.u64();
-        fatal_if(i > 0 && key <= prev,
-                 "snapshot: directory lines out of order");
-        prev = key;
-        CohLine st;
-        st.sharers = r.u64();
-        st.owner = r.i32();
-        lines_.emplace(key, st);
-    }
-    invalidations_ = r.u64();
-    interventions_ = r.u64();
-    upgrades_ = r.u64();
-}
+template void Directory::io(snap::Writer &);
+template void Directory::io(snap::Reader &);
 
 } // namespace sst

@@ -32,12 +32,6 @@
 namespace sst
 {
 
-namespace snap
-{
-class Writer;
-class Reader;
-} // namespace snap
-
 /** Coherence knobs; disabled by default (private salted windows). */
 struct CohParams
 {
@@ -118,9 +112,8 @@ class Directory
     /** Lines currently tracked (directory footprint metric). */
     std::size_t trackedLines() const { return lines_.size(); }
 
-    /** Serialized sorted by line address: byte-stable across runs. */
-    void save(snap::Writer &w) const;
-    void load(snap::Reader &r);
+    /** Snapshotted sorted by line address: byte-stable across runs. */
+    template <class Io> void io(Io &s);
 
   private:
     const CohParams params_;

@@ -16,12 +16,6 @@
 namespace sst
 {
 
-namespace snap
-{
-class Writer;
-class Reader;
-} // namespace snap
-
 /**
  * One SplitMix64 step: advances @p state and returns the next output.
  * This is the reference seeding generator; exposed so that seed
@@ -85,9 +79,8 @@ class Rng
      */
     std::uint64_t zipf(std::uint64_t n, double s);
 
-    /** Serialize the generator state mid-stream (defined in src/snap/). */
-    void save(snap::Writer &w) const;
-    void load(snap::Reader &r);
+    /** Snapshot the generator state mid-stream (defined in src/snap/). */
+    template <class Io> void io(Io &s);
 
   private:
     std::uint64_t state_[4];

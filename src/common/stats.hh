@@ -19,12 +19,6 @@
 namespace sst
 {
 
-namespace snap
-{
-class Writer;
-class Reader;
-} // namespace snap
-
 /** Escape @p s for inclusion in a JSON string literal (no quotes). */
 std::string jsonEscape(const std::string &s);
 
@@ -50,6 +44,8 @@ class Scalar
 
     /** JSON value (a decimal integer). */
     std::string toJson() const;
+
+    template <class Io> void io(Io &s) { s.u64(value_); }
 
   private:
     std::uint64_t value_ = 0;
@@ -87,10 +83,9 @@ class Distribution
     /** JSON object: count/sum/mean/max/bucket_width/buckets/overflow. */
     std::string toJson() const;
 
-    /** Serialize counts only; bucket geometry must already match (it is
+    /** Snapshot counts only; bucket geometry must already match (it is
      *  configuration, re-established by init()). Defined in src/snap/. */
-    void save(snap::Writer &w) const;
-    void load(snap::Reader &r);
+    template <class Io> void io(Io &s);
 
   private:
     std::vector<std::uint64_t> buckets_;
@@ -157,14 +152,13 @@ class StatGroup
     void reset();
 
     /**
-     * Serialize all scalar and distribution *values* (recursively, with
-     * names for validation); formulas are derived and skipped. load()
+     * Snapshot all scalar and distribution *values* (recursively, with
+     * names for validation); formulas are derived and skipped. Loading
      * requires an identically shaped tree — stats layout is part of the
      * snapshot format, guarded by snap::formatVersion. Defined in
      * src/snap/ so the common library does not depend on snap.
      */
-    void save(snap::Writer &w) const;
-    void load(snap::Reader &r);
+    template <class Io> void io(Io &s);
 
   private:
     struct NamedScalar

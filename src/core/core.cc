@@ -136,50 +136,28 @@ Core::trace(const char *fmt, ...)
     traceSink_(line);
 }
 
+template <class Io>
 void
-Core::save(snap::Writer &w) const
+Core::io(Io &s)
 {
-    w.tag("core");
-    w.str(model());
-    arch_.save(w);
-    w.u64(now_);
-    w.u64(startCycle_);
-    w.u64(lastFetchLine_);
-    w.u64(fetchLineReady_);
-    w.u8(static_cast<std::uint8_t>(stallCat_));
-    predictor_->save(w);
-    btb_.save(w);
-    ras_.save(w);
-    stats_.save(w);
-    w.tag("core-extra");
-    saveExtra(w);
+    s.tag("core");
+    s.expect(std::string(model()), "core model");
+    arch_.io(s);
+    s.u64(now_);
+    s.u64(startCycle_);
+    s.u64(lastFetchLine_);
+    s.u64(fetchLineReady_);
+    s.enum8(stallCat_, trace::CpiCat::NumCats, "CPI category");
+    predictor_->io(s);
+    btb_.io(s);
+    ras_.io(s);
+    stats_.io(s);
+    s.tag("core-extra");
+    ioExtra(s);
 }
 
-void
-Core::load(snap::Reader &r)
-{
-    r.tag("core");
-    std::string m = r.str();
-    fatal_if(m != model(),
-             "snapshot: core model '%s' where '%s' expected "
-             "(configuration mismatch)",
-             m.c_str(), model());
-    arch_.load(r);
-    now_ = r.u64();
-    startCycle_ = r.u64();
-    lastFetchLine_ = r.u64();
-    fetchLineReady_ = r.u64();
-    std::uint8_t cat = r.u8();
-    fatal_if(cat >= static_cast<std::uint8_t>(trace::CpiCat::NumCats),
-             "snapshot: bad CPI category %u (corrupt snapshot)", cat);
-    stallCat_ = static_cast<trace::CpiCat>(cat);
-    predictor_->load(r);
-    btb_.load(r);
-    ras_.load(r);
-    stats_.load(r);
-    r.tag("core-extra");
-    loadExtra(r);
-}
+template void Core::io(snap::Writer &);
+template void Core::io(snap::Reader &);
 
 Cycle
 Core::fetchReady(std::uint64_t pc)

@@ -197,16 +197,15 @@ class Core
     virtual void finalizeAttribution() {}
 
     /**
-     * Serialize complete core state: committed arch state, clocks,
+     * Snapshot complete core state: committed arch state, clocks,
      * fetch-line tracking, predictor/BTB/RAS, the whole stats tree
      * (which includes the CPI stack and this core's port stats), then
-     * the model's extra state via saveExtra(). Runtime attachments
+     * the model's extra state via ioExtra(). Runtime attachments
      * (trace sink, trace buffer pointer) are not state and are not
      * serialized; of the Blocked record only the models' acted flag
      * travels (the next tick rewrites the rest).
      */
-    void save(snap::Writer &w) const;
-    void load(snap::Reader &r);
+    template <class Io> void io(Io &s);
 
   protected:
     /** True when someone is listening; guard any formatting work. */
@@ -304,9 +303,10 @@ class Core
      */
     virtual void idleAdvance(Cycle n);
 
-    /** Model-specific snapshot state (scoreboards, queues, epochs). */
-    virtual void saveExtra(snap::Writer &) const {}
-    virtual void loadExtra(snap::Reader &) {}
+    /** Model-specific snapshot state (scoreboards, queues, epochs).
+     *  Each model forwards both visitors to one state() template. */
+    virtual void ioExtra(snap::Writer &) {}
+    virtual void ioExtra(snap::Reader &) {}
 
   private:
     std::function<void(const std::string &)> traceSink_;

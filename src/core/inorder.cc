@@ -167,59 +167,24 @@ InOrderCore::issueOne()
 }
 
 
-namespace
-{
-
-template <typename Q>
+template <class Io>
 void
-saveStoreBuffer(sst::snap::Writer &w, const Q &q)
-{
-    w.u32(static_cast<std::uint32_t>(q.size()));
-    for (const auto &st : q) {
-        w.u64(st.addr);
-        w.u32(st.size);
-        w.u64(st.issuableAt);
-    }
-}
-
-template <typename Q>
-void
-loadStoreBuffer(sst::snap::Reader &r, Q &q)
-{
-    q.clear();
-    std::uint32_t n = r.u32();
-    for (std::uint32_t i = 0; i < n; ++i) {
-        auto &st = q.emplace_back();
-        st.addr = r.u64();
-        st.size = r.u32();
-        st.issuableAt = r.u64();
-    }
-}
-
-} // namespace
-
-void
-InOrderCore::saveExtra(snap::Writer &w) const
-{
-    for (Cycle rdy : regReady_)
-        w.u64(rdy);
-    for (bool coh : regCoh_)
-        w.b(coh);
-    saveStoreBuffer(w, storeBuffer_);
-    w.u64(divBusyUntil_);
-    w.u64(frontEndReadyAt_);
-}
-
-void
-InOrderCore::loadExtra(snap::Reader &r)
+InOrderCore::state(Io &s)
 {
     for (Cycle &rdy : regReady_)
-        rdy = r.u64();
-    for (auto &&coh : regCoh_)
-        coh = r.b();
-    loadStoreBuffer(r, storeBuffer_);
-    divBusyUntil_ = r.u64();
-    frontEndReadyAt_ = r.u64();
+        s.u64(rdy);
+    for (bool &coh : regCoh_)
+        s.b(coh);
+    snap::seq(s, snap::Width::u32, storeBuffer_, 20, [&](PendingStore &st) {
+        s.u64(st.addr);
+        s.u32(st.size);
+        s.u64(st.issuableAt);
+    });
+    s.u64(divBusyUntil_);
+    s.u64(frontEndReadyAt_);
 }
+
+template void InOrderCore::state(snap::Writer &);
+template void InOrderCore::state(snap::Reader &);
 
 } // namespace sst

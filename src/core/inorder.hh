@@ -29,10 +29,12 @@ class InOrderCore : public Core
 
   protected:
     void cycle() override;
-    void saveExtra(snap::Writer &w) const override;
-    void loadExtra(snap::Reader &r) override;
+    void ioExtra(snap::Writer &s) override { state(s); }
+    void ioExtra(snap::Reader &s) override { state(s); }
 
   private:
+    template <class Io> void state(Io &s);
+
     /** Try to issue the instruction at arch_.pc. @return true on issue;
      *  on failure the first failing condition is recorded as the
      *  cycle's blocker. */

@@ -286,70 +286,38 @@ OoOCore::dispatchStage()
 }
 
 
+template <class Io>
 void
-OoOCore::saveExtra(snap::Writer &w) const
+OoOCore::state(Io &s)
 {
-    w.u32(static_cast<std::uint32_t>(rob_.size()));
-    for (const RobEntry &e : rob_) {
-        w.u64(e.seq);
-        w.u64(e.pc);
-        w.u64(e.inst.encode());
-        e.step.save(w);
-        w.u8(static_cast<std::uint8_t>(e.state));
-        w.u64(e.doneCycle);
-        w.u64(e.retryAt);
-        w.u64(e.src1Producer);
-        w.u64(e.src2Producer);
-        w.b(e.isLd);
-        w.b(e.isSt);
-        w.b(e.mispredicted);
-    }
-    for (SeqNum p : lastProducer_)
-        w.u64(p);
-    w.u64(nextSeq_);
-    w.u32(iqOccupancy_);
-    w.u32(lsqOccupancy_);
-    w.u64(divBusyUntil_);
-    w.u64(frontEndReadyAt_);
-    w.u64(redirectBlockedOn_);
-    w.b(fetchHalted_);
-    w.b(blocked_.acted);
+    snap::seq(s, snap::Width::u32, rob_, 114, [&](RobEntry &e) {
+        s.u64(e.seq);
+        s.u64(e.pc);
+        e.inst.io(s);
+        e.step.io(s);
+        s.enum8(e.state, State{static_cast<int>(State::Done) + 1},
+                "ROB entry state");
+        s.u64(e.doneCycle);
+        s.u64(e.retryAt);
+        s.u64(e.src1Producer);
+        s.u64(e.src2Producer);
+        s.b(e.isLd);
+        s.b(e.isSt);
+        s.b(e.mispredicted);
+    });
+    for (SeqNum &p : lastProducer_)
+        s.u64(p);
+    s.u64(nextSeq_);
+    s.u32(iqOccupancy_);
+    s.u32(lsqOccupancy_);
+    s.u64(divBusyUntil_);
+    s.u64(frontEndReadyAt_);
+    s.u64(redirectBlockedOn_);
+    s.b(fetchHalted_);
+    s.b(blocked_.acted);
 }
 
-void
-OoOCore::loadExtra(snap::Reader &r)
-{
-    rob_.clear();
-    std::uint32_t n = r.u32();
-    for (std::uint32_t i = 0; i < n; ++i) {
-        RobEntry &e = rob_.emplace_back();
-        e.seq = r.u64();
-        e.pc = r.u64();
-        e.inst = Inst::decode(r.u64());
-        e.step.load(r);
-        std::uint8_t st = r.u8();
-        fatal_if(st > static_cast<std::uint8_t>(State::Done),
-                 "snapshot: bad ROB entry state %u (corrupt snapshot)",
-                 st);
-        e.state = static_cast<State>(st);
-        e.doneCycle = r.u64();
-        e.retryAt = r.u64();
-        e.src1Producer = r.u64();
-        e.src2Producer = r.u64();
-        e.isLd = r.b();
-        e.isSt = r.b();
-        e.mispredicted = r.b();
-    }
-    for (SeqNum &p : lastProducer_)
-        p = r.u64();
-    nextSeq_ = r.u64();
-    iqOccupancy_ = r.u32();
-    lsqOccupancy_ = r.u32();
-    divBusyUntil_ = r.u64();
-    frontEndReadyAt_ = r.u64();
-    redirectBlockedOn_ = r.u64();
-    fetchHalted_ = r.b();
-    blocked_.acted = r.b();
-}
+template void OoOCore::state(snap::Writer &);
+template void OoOCore::state(snap::Reader &);
 
 } // namespace sst

@@ -32,10 +32,12 @@ class OoOCore : public Core
   protected:
     void cycle() override;
     void idleAdvance(Cycle n) override;
-    void saveExtra(snap::Writer &w) const override;
-    void loadExtra(snap::Reader &r) override;
+    void ioExtra(snap::Writer &s) override { state(s); }
+    void ioExtra(snap::Reader &s) override { state(s); }
 
   private:
+    template <class Io> void state(Io &s);
+
     enum class State
     {
         Waiting,  ///< in issue queue, operands possibly outstanding

@@ -1,7 +1,6 @@
 #include "core/smt.hh"
 
 #include "common/logging.hh"
-#include "snap/snap.hh"
 
 namespace sst
 {
@@ -278,68 +277,6 @@ SmtCore::issueOne(Context &ctx)
         break;
     }
     return true;
-}
-
-
-void
-SmtCore::save(snap::Writer &w) const
-{
-    w.tag("smtcore");
-    w.u64(now_);
-    for (const Context &ctx : contexts_) {
-        ctx.arch.save(w);
-        for (Cycle rdy : ctx.regReady)
-            w.u64(rdy);
-        w.u64(ctx.frontEndReadyAt);
-        w.u64(ctx.lastFetchLine);
-        w.u64(ctx.fetchLineReady);
-        w.u64(ctx.salt);
-        ctx.ras->save(w);
-    }
-    predictor_->save(w);
-    btb_.save(w);
-    w.u64(divBusyUntil_);
-    w.u32(static_cast<std::uint32_t>(storeBuffer_.size()));
-    for (const PendingStore &st : storeBuffer_) {
-        w.u64(st.addr);
-        w.u32(st.size);
-        w.u64(st.issuableAt);
-    }
-    w.u8(static_cast<std::uint8_t>(stallCat_));
-    stats_.save(w);
-}
-
-void
-SmtCore::load(snap::Reader &r)
-{
-    r.tag("smtcore");
-    now_ = r.u64();
-    for (Context &ctx : contexts_) {
-        ctx.arch.load(r);
-        for (Cycle &rdy : ctx.regReady)
-            rdy = r.u64();
-        ctx.frontEndReadyAt = r.u64();
-        ctx.lastFetchLine = r.u64();
-        ctx.fetchLineReady = r.u64();
-        ctx.salt = r.u64();
-        ctx.ras->load(r);
-    }
-    predictor_->load(r);
-    btb_.load(r);
-    divBusyUntil_ = r.u64();
-    storeBuffer_.clear();
-    std::uint32_t n = r.u32();
-    for (std::uint32_t i = 0; i < n; ++i) {
-        PendingStore &st = storeBuffer_.emplace_back();
-        st.addr = r.u64();
-        st.size = r.u32();
-        st.issuableAt = r.u64();
-    }
-    std::uint8_t cat = r.u8();
-    fatal_if(cat >= static_cast<std::uint8_t>(trace::CpiCat::NumCats),
-             "snapshot: bad CPI category %u (corrupt snapshot)", cat);
-    stallCat_ = static_cast<trace::CpiCat>(cat);
-    stats_.load(r);
 }
 
 } // namespace sst

@@ -73,11 +73,6 @@ class SmtCore
      *  (SMT holds nothing pending, so no finalize step is needed). */
     trace::CpiStack &cpiStack() { return cpiStack_; }
 
-    /** Serialize both contexts + shared pipeline state + stats tree
-     *  (programs/memories stay bound; only execution state travels). */
-    void save(snap::Writer &w) const;
-    void load(snap::Reader &r);
-
   private:
     struct Context
     {

@@ -1589,255 +1589,139 @@ SstCore::degradeSpeculation()
 }
 
 
+template <class Io>
 void
-SstCore::saveExtra(snap::Writer &w) const
+SstCore::state(Io &s)
 {
-    auto saveDq = [&w](const std::deque<DqEntry> &dq) {
-        w.u32(static_cast<std::uint32_t>(dq.size()));
-        for (const DqEntry &e : dq) {
-            w.u64(e.seq);
-            w.u64(e.pc);
-            w.u64(e.inst.encode());
-            for (const DeferredOperand *op : {&e.src1, &e.src2}) {
-                w.b(op->used);
-                w.b(op->captured);
-                w.u64(op->value);
-                w.u64(op->producer);
-            }
-            w.b(e.predTaken);
-            w.u64(e.predHistory);
-            w.u64(e.predTarget);
-            w.b(e.requestIssued);
-            w.u64(e.readyCycle);
-            w.b(e.valuePredicted);
-            w.u64(e.predValue);
-        }
-    };
-
-    for (std::uint64_t v : pendingSpec_)
-        w.u64(v);
-    for (std::uint64_t v : specRegs_)
-        w.u64(v);
-    for (bool v : na_)
-        w.b(v);
-    for (SeqNum v : naWriter_)
-        w.u64(v);
-    for (Cycle v : specReady_)
-        w.u64(v);
-    w.u64(aheadPc_);
-    w.b(aheadHalted_);
-    w.b(blocked_.acted);
-    w.u64(aheadFrontEndReadyAt_);
-    w.u64(aheadDivBusyUntil_);
-    for (Cycle v : regReady_)
-        w.u64(v);
-    w.u64(frontEndReadyAt_);
-    w.u64(divBusyUntil_);
-    w.u64(nextSeq_);
-    w.u32(nextEpochId_);
-    w.u32(dqCapacity_);
-    w.u32(ssqCapacity_);
-    w.u32(unverifiedBranches_);
-
-    w.u32(static_cast<std::uint32_t>(epochs_.size()));
-    for (const Epoch &ep : epochs_) {
-        w.u32(ep.id);
-        w.u64(ep.pc);
-        w.u64(ep.startSeq);
-        for (std::uint64_t v : ep.regs)
-            w.u64(v);
-        for (bool v : ep.na)
-            w.b(v);
-        for (SeqNum v : ep.naWriter)
-            w.u64(v);
-        w.u64(ep.predictorHistory);
-        ep.ras.save(w);
-        w.u64(ep.triggerReady);
-        saveDq(ep.dq);
-        saveDq(ep.redeferred);
-    }
-
-    w.u32(static_cast<std::uint32_t>(ssq_.size()));
-    for (const SsqEntry &e : ssq_) {
-        w.u64(e.seq);
-        w.b(e.resolved);
-        w.u64(e.addr);
-        w.u32(e.size);
-        w.u64(e.value);
-    }
-
-    w.u32(static_cast<std::uint32_t>(loadLog_.size()));
-    for (const SpecLoad &l : loadLog_) {
-        w.u64(l.seq);
-        w.u64(l.addr);
-        w.u32(l.size);
-    }
-
-    // unordered_map: emit sorted by seq so equal state hashes equal.
-    std::vector<SeqNum> seqs;
-    seqs.reserve(replayResults_.size());
-    for (const auto &kv : replayResults_)
-        seqs.push_back(kv.first);
-    std::sort(seqs.begin(), seqs.end());
-    w.u32(static_cast<std::uint32_t>(seqs.size()));
-    for (SeqNum seq : seqs) {
-        const ReplayResult &res = replayResults_.at(seq);
-        w.u64(seq);
-        w.u64(res.value);
-        w.u64(res.readyCycle);
-    }
-
-    w.u32(static_cast<std::uint32_t>(storeBuffer_.size()));
-    for (const PendingStore &st : storeBuffer_) {
-        w.u64(st.addr);
-        w.u32(st.size);
-        w.u64(st.issuableAt);
-    }
-
-    w.u64(lastFailTriggerPc_);
-    w.u64(lastRollbackCommitted_);
-    w.u32(consecutiveFails_);
-    w.u64(suppressTriggerPc_);
-
-    for (bool v : regCoh_)
-        w.b(v);
-    w.b(pendingCohSquash_);
-    w.b(sleActive_);
-    w.u64(sleLockAddr_);
-    w.b(sleReleaseSeen_);
-    w.u64(sleSuppressPc_);
-
-    vpred_.save(w);
-    w.u32(vpOutstanding_);
-}
-
-void
-SstCore::loadExtra(snap::Reader &r)
-{
-    auto loadDq = [&r](std::deque<DqEntry> &dq) {
-        dq.clear();
-        std::uint32_t n = r.u32();
-        for (std::uint32_t i = 0; i < n; ++i) {
-            DqEntry &e = dq.emplace_back();
-            e.seq = r.u64();
-            e.pc = r.u64();
-            e.inst = Inst::decode(r.u64());
+    auto dq = [&s](std::deque<DqEntry> &q) {
+        snap::seq(s, snap::Width::u32, q, 95, [&s](DqEntry &e) {
+            s.u64(e.seq);
+            s.u64(e.pc);
+            e.inst.io(s);
             for (DeferredOperand *op : {&e.src1, &e.src2}) {
-                op->used = r.b();
-                op->captured = r.b();
-                op->value = r.u64();
-                op->producer = r.u64();
+                s.b(op->used);
+                s.b(op->captured);
+                s.u64(op->value);
+                s.u64(op->producer);
             }
-            e.predTaken = r.b();
-            e.predHistory = r.u64();
-            e.predTarget = r.u64();
-            e.requestIssued = r.b();
-            e.readyCycle = r.u64();
-            e.valuePredicted = r.b();
-            e.predValue = r.u64();
-        }
+            s.b(e.predTaken);
+            s.u64(e.predHistory);
+            s.u64(e.predTarget);
+            s.b(e.requestIssued);
+            s.u64(e.readyCycle);
+            s.b(e.valuePredicted);
+            s.u64(e.predValue);
+        });
     };
 
     for (std::uint64_t &v : pendingSpec_)
-        v = r.u64();
+        s.u64(v);
     for (std::uint64_t &v : specRegs_)
-        v = r.u64();
-    for (std::size_t i = 0; i < na_.size(); ++i)
-        na_[i] = r.b();
+        s.u64(v);
+    for (bool &v : na_)
+        s.b(v);
     for (SeqNum &v : naWriter_)
-        v = r.u64();
+        s.u64(v);
     for (Cycle &v : specReady_)
-        v = r.u64();
-    aheadPc_ = r.u64();
-    aheadHalted_ = r.b();
-    blocked_.acted = r.b();
-    aheadFrontEndReadyAt_ = r.u64();
-    aheadDivBusyUntil_ = r.u64();
+        s.u64(v);
+    s.u64(aheadPc_);
+    s.b(aheadHalted_);
+    s.b(blocked_.acted);
+    s.u64(aheadFrontEndReadyAt_);
+    s.u64(aheadDivBusyUntil_);
     for (Cycle &v : regReady_)
-        v = r.u64();
-    frontEndReadyAt_ = r.u64();
-    divBusyUntil_ = r.u64();
-    nextSeq_ = r.u64();
-    nextEpochId_ = r.u32();
-    dqCapacity_ = r.u32();
-    ssqCapacity_ = r.u32();
-    unverifiedBranches_ = r.u32();
+        s.u64(v);
+    s.u64(frontEndReadyAt_);
+    s.u64(divBusyUntil_);
+    s.u64(nextSeq_);
+    s.u32(nextEpochId_);
+    s.u32(dqCapacity_);
+    s.u32(ssqCapacity_);
+    s.u32(unverifiedBranches_);
 
-    epochs_.clear();
-    std::uint32_t nEpochs = r.u32();
-    for (std::uint32_t i = 0; i < nEpochs; ++i) {
-        Epoch &ep = epochs_.emplace_back();
-        ep.id = r.u32();
-        ep.pc = r.u64();
-        ep.startSeq = r.u64();
+    snap::seq(s, snap::Width::u32, epochs_, 600, [&](Epoch &ep) {
+        s.u32(ep.id);
+        s.u64(ep.pc);
+        s.u64(ep.startSeq);
         for (std::uint64_t &v : ep.regs)
-            v = r.u64();
-        for (std::size_t j = 0; j < ep.na.size(); ++j)
-            ep.na[j] = r.b();
+            s.u64(v);
+        for (bool &v : ep.na)
+            s.b(v);
         for (SeqNum &v : ep.naWriter)
-            v = r.u64();
-        ep.predictorHistory = r.u64();
-        ep.ras.load(r);
-        ep.triggerReady = r.u64();
-        loadDq(ep.dq);
-        loadDq(ep.redeferred);
+            s.u64(v);
+        s.u64(ep.predictorHistory);
+        ep.ras.io(s);
+        s.u64(ep.triggerReady);
+        dq(ep.dq);
+        dq(ep.redeferred);
+    });
+
+    snap::seq(s, snap::Width::u32, ssq_, 29, [&](SsqEntry &e) {
+        s.u64(e.seq);
+        s.b(e.resolved);
+        s.u64(e.addr);
+        s.u32(e.size);
+        s.u64(e.value);
+    });
+
+    snap::seq(s, snap::Width::u32, loadLog_, 20, [&](SpecLoad &l) {
+        s.u64(l.seq);
+        s.u64(l.addr);
+        s.u32(l.size);
+    });
+
+    // unordered_map: emitted sorted by seq so equal state hashes equal.
+    if constexpr (Io::loading) {
+        replayResults_.clear();
+        std::size_t n = s.count(snap::Width::u32, 0, 24);
+        replayResults_.reserve(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            SeqNum seq = 0;
+            ReplayResult res;
+            s.u64(seq);
+            s.u64(res.value);
+            s.u64(res.readyCycle);
+            replayResults_.emplace(seq, res);
+        }
+    } else {
+        std::vector<SeqNum> seqs;
+        seqs.reserve(replayResults_.size());
+        for (const auto &kv : replayResults_)
+            seqs.push_back(kv.first);
+        std::sort(seqs.begin(), seqs.end());
+        s.count(snap::Width::u32, seqs.size(), 24);
+        for (SeqNum seq : seqs) {
+            ReplayResult &res = replayResults_.at(seq);
+            s.u64(seq);
+            s.u64(res.value);
+            s.u64(res.readyCycle);
+        }
     }
 
-    ssq_.clear();
-    std::uint32_t nSsq = r.u32();
-    ssq_.resize(nSsq);
-    for (SsqEntry &e : ssq_) {
-        e.seq = r.u64();
-        e.resolved = r.b();
-        e.addr = r.u64();
-        e.size = r.u32();
-        e.value = r.u64();
-    }
+    snap::seq(s, snap::Width::u32, storeBuffer_, 20, [&](PendingStore &st) {
+        s.u64(st.addr);
+        s.u32(st.size);
+        s.u64(st.issuableAt);
+    });
 
-    loadLog_.clear();
-    std::uint32_t nLoads = r.u32();
-    loadLog_.resize(nLoads);
-    for (SpecLoad &l : loadLog_) {
-        l.seq = r.u64();
-        l.addr = r.u64();
-        l.size = r.u32();
-    }
+    s.u64(lastFailTriggerPc_);
+    s.u64(lastRollbackCommitted_);
+    s.u32(consecutiveFails_);
+    s.u64(suppressTriggerPc_);
 
-    replayResults_.clear();
-    std::uint32_t nReplay = r.u32();
-    replayResults_.reserve(nReplay);
-    for (std::uint32_t i = 0; i < nReplay; ++i) {
-        SeqNum seq = r.u64();
-        ReplayResult res;
-        res.value = r.u64();
-        res.readyCycle = r.u64();
-        replayResults_.emplace(seq, res);
-    }
+    for (bool &v : regCoh_)
+        s.b(v);
+    s.b(pendingCohSquash_);
+    s.b(sleActive_);
+    s.u64(sleLockAddr_);
+    s.b(sleReleaseSeen_);
+    s.u64(sleSuppressPc_);
 
-    storeBuffer_.clear();
-    std::uint32_t nStores = r.u32();
-    for (std::uint32_t i = 0; i < nStores; ++i) {
-        PendingStore &st = storeBuffer_.emplace_back();
-        st.addr = r.u64();
-        st.size = r.u32();
-        st.issuableAt = r.u64();
-    }
-
-    lastFailTriggerPc_ = r.u64();
-    lastRollbackCommitted_ = r.u64();
-    consecutiveFails_ = r.u32();
-    suppressTriggerPc_ = r.u64();
-
-    for (auto &&v : regCoh_)
-        v = r.b();
-    pendingCohSquash_ = r.b();
-    sleActive_ = r.b();
-    sleLockAddr_ = r.u64();
-    sleReleaseSeen_ = r.b();
-    sleSuppressPc_ = r.u64();
-
-    vpred_.load(r);
-    vpOutstanding_ = r.u32();
+    vpred_.io(s);
+    s.u32(vpOutstanding_);
 }
+
+template void SstCore::state(snap::Writer &);
+template void SstCore::state(snap::Reader &);
 
 } // namespace sst

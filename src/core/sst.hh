@@ -84,8 +84,8 @@ class SstCore : public Core, public CohClient
   protected:
     void cycle() override;
     void idleAdvance(Cycle n) override;
-    void saveExtra(snap::Writer &w) const override;
-    void loadExtra(snap::Reader &r) override;
+    void ioExtra(snap::Writer &s) override { state(s); }
+    void ioExtra(snap::Reader &s) override { state(s); }
 
     /** In-speculation cycles are attributed provisionally: their final
      *  category depends on whether the region commits (replay /
@@ -93,6 +93,8 @@ class SstCore : public Core, public CohClient
     void accountCycle(std::uint64_t retired) override;
 
   private:
+    template <class Io> void state(Io &s);
+
     /** One operand of a deferred instruction. */
     struct DeferredOperand
     {

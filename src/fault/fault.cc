@@ -83,18 +83,15 @@ FaultInjector::forceAbort()
     return true;
 }
 
+template <class Io>
 void
-FaultInjector::save(snap::Writer &w) const
+FaultInjector::io(Io &s)
 {
-    w.tag("fault");
-    rng_.save(w);
+    s.tag("fault");
+    rng_.io(s);
 }
 
-void
-FaultInjector::load(snap::Reader &r)
-{
-    r.tag("fault");
-    rng_.load(r);
-}
+template void FaultInjector::io(snap::Writer &);
+template void FaultInjector::io(snap::Reader &);
 
 } // namespace sst

@@ -116,10 +116,9 @@ class FaultInjector
 
     StatGroup &stats() { return stats_; }
 
-    /** Serialize the fault RNG stream (counters travel with the stats
+    /** Snapshot the fault RNG stream (counters travel with the stats
      *  tree). */
-    void save(snap::Writer &w) const;
-    void load(snap::Reader &r);
+    template <class Io> void io(Io &s);
 
   private:
     FaultParams params_;

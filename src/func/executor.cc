@@ -239,50 +239,34 @@ Executor::run(ArchState &state, std::uint64_t maxInsts)
     return n;
 }
 
+template <class Io>
 void
-ArchState::save(snap::Writer &w) const
-{
-    for (std::uint64_t r : regs)
-        w.u64(r);
-    w.u64(pc);
-    w.b(halted);
-}
-
-void
-ArchState::load(snap::Reader &r)
+ArchState::io(Io &s)
 {
     for (std::uint64_t &reg : regs)
-        reg = r.u64();
-    pc = r.u64();
-    halted = r.b();
+        s.u64(reg);
+    s.u64(pc);
+    s.b(halted);
 }
 
+template <class Io>
 void
-StepInfo::save(snap::Writer &w) const
+StepInfo::io(Io &s)
 {
-    w.u64(inst.encode());
-    w.u64(pc);
-    w.u64(nextPc);
-    w.u64(effAddr);
-    w.u32(memSize);
-    w.u64(storeValue);
-    w.u64(result);
-    w.b(taken);
-    w.b(halted);
+    inst.io(s);
+    s.u64(pc);
+    s.u64(nextPc);
+    s.u64(effAddr);
+    s.u32(memSize);
+    s.u64(storeValue);
+    s.u64(result);
+    s.b(taken);
+    s.b(halted);
 }
 
-void
-StepInfo::load(snap::Reader &r)
-{
-    inst = Inst::decode(r.u64());
-    pc = r.u64();
-    nextPc = r.u64();
-    effAddr = r.u64();
-    memSize = r.u32();
-    storeValue = r.u64();
-    result = r.u64();
-    taken = r.b();
-    halted = r.b();
-}
+template void ArchState::io(snap::Writer &);
+template void ArchState::io(snap::Reader &);
+template void StepInfo::io(snap::Writer &);
+template void StepInfo::io(snap::Reader &);
 
 } // namespace sst

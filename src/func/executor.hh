@@ -24,12 +24,6 @@ namespace sst
 
 class Program;
 
-namespace snap
-{
-class Writer;
-class Reader;
-} // namespace snap
-
 /** Committed architectural state of one hardware context. */
 struct ArchState
 {
@@ -37,8 +31,7 @@ struct ArchState
     std::uint64_t pc = 0;
     bool halted = false;
 
-    void save(snap::Writer &w) const;
-    void load(snap::Reader &r);
+    template <class Io> void io(Io &s);
 
     std::uint64_t reg(RegId r) const { return r == 0 ? 0 : regs[r]; }
 
@@ -86,8 +79,7 @@ struct StepInfo
     bool taken = false;         ///< branch/jump redirected the PC
     bool halted = false;
 
-    void save(snap::Writer &w) const;
-    void load(snap::Reader &r);
+    template <class Io> void io(Io &s);
 };
 
 /** Drives ArchState through a Program one instruction at a time. */

@@ -150,51 +150,53 @@ MemoryImage::highWater() const
     return top;
 }
 
+template <class Io>
 void
-MemoryImage::save(snap::Writer &w) const
+MemoryImage::io(Io &s)
 {
-    static const Page zeroPage = [] {
-        Page p;
-        p.fill(0);
-        return p;
-    }();
-
-    std::vector<Addr> keys;
-    keys.reserve(pages_.size());
-    for (const auto &kv : pages_)
-        if (std::memcmp(kv.second->data(), zeroPage.data(), pageSize) != 0)
-            keys.push_back(kv.first);
-    std::sort(keys.begin(), keys.end());
-
-    w.tag("memimage");
-    w.u64(keys.size());
-    for (Addr key : keys) {
-        w.u64(key);
-        w.bytes(pages_.at(key)->data(), pageSize);
+    s.tag("memimage");
+    if constexpr (Io::loading) {
+        pages_.clear();
+        std::size_t n = s.count(snap::Width::u64, 0, 8 + pageSize);
+        Addr prev = 0;
+        for (std::size_t i = 0; i < n; ++i) {
+            Addr key = 0;
+            s.u64(key);
+            fatal_if(i > 0 && key <= prev,
+                     "snapshot: memory pages out of order (corrupt "
+                     "snapshot)");
+            prev = key;
+            // Every byte is overwritten by the copy below, so skip the
+            // value-initialisation memset; keys arrive sorted (checked
+            // above), so the end hint makes each insert O(1). Together
+            // these roughly halve restore time on multi-MB images,
+            // which is the per-window floor for library-served sampling.
+            auto page = std::make_unique_for_overwrite<Page>();
+            s.bytes(page->data(), pageSize);
+            pages_.emplace_hint(pages_.end(), key, std::move(page));
+        }
+    } else {
+        static const Page zeroPage = [] {
+            Page p;
+            p.fill(0);
+            return p;
+        }();
+        std::vector<Addr> keys;
+        keys.reserve(pages_.size());
+        for (const auto &kv : pages_)
+            if (std::memcmp(kv.second->data(), zeroPage.data(), pageSize)
+                != 0)
+                keys.push_back(kv.first);
+        std::sort(keys.begin(), keys.end());
+        s.count(snap::Width::u64, keys.size(), 8 + pageSize);
+        for (Addr key : keys) {
+            s.u64(key);
+            s.bytes(pages_.at(key)->data(), pageSize);
+        }
     }
 }
 
-void
-MemoryImage::load(snap::Reader &r)
-{
-    r.tag("memimage");
-    pages_.clear();
-    std::uint64_t n = r.u64();
-    Addr prev = 0;
-    for (std::uint64_t i = 0; i < n; ++i) {
-        Addr key = r.u64();
-        fatal_if(i > 0 && key <= prev,
-                 "snapshot: memory pages out of order (corrupt snapshot)");
-        prev = key;
-        // Every byte is overwritten by the copy below, so skip the
-        // value-initialisation memset; keys arrive sorted (checked
-        // above), so the end hint makes each insert O(1). Together
-        // these roughly halve restore time on multi-MB images, which
-        // is the per-window floor for library-served sampling.
-        auto page = std::make_unique_for_overwrite<Page>();
-        r.bytes(page->data(), pageSize);
-        pages_.emplace_hint(pages_.end(), key, std::move(page));
-    }
-}
+template void MemoryImage::io(snap::Writer &);
+template void MemoryImage::io(snap::Reader &);
 
 } // namespace sst

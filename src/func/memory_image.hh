@@ -19,12 +19,6 @@ namespace sst
 
 class Program;
 
-namespace snap
-{
-class Writer;
-class Reader;
-} // namespace snap
-
 /**
  * Page-granular sparse memory. Unwritten bytes read as zero, which the
  * workload generators rely on for zero-initialised heaps.
@@ -98,10 +92,9 @@ class MemoryImage
     /** One past the highest touched byte address; 0 when untouched. */
     Addr highWater() const;
 
-    /** Serialize pages sorted by address (all-zero pages elided), so
+    /** Snapshot pages sorted by address (all-zero pages elided), so
      *  equal contents encode to equal bytes regardless of touch order. */
-    void save(snap::Writer &w) const;
-    void load(snap::Reader &r);
+    template <class Io> void io(Io &s);
 
   private:
     using Page = std::array<std::uint8_t, pageSize>;

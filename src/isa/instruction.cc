@@ -35,6 +35,23 @@ Inst::decode(std::uint64_t word)
     return i;
 }
 
+Inst
+Inst::decodeSaved(std::uint64_t word)
+{
+    auto opField = static_cast<unsigned>(word >> 56);
+    fatal_if(opField >= static_cast<unsigned>(Opcode::NumOpcodes),
+             "snapshot: illegal opcode field %u in instruction word "
+             "0x%016llx (corrupt snapshot)",
+             opField, static_cast<unsigned long long>(word));
+    Inst i = decode(word);
+    fatal_if(i.rd >= numArchRegs || i.rs1 >= numArchRegs
+                 || i.rs2 >= numArchRegs,
+             "snapshot: register field past x%u in instruction word "
+             "0x%016llx (corrupt snapshot)",
+             numArchRegs - 1, static_cast<unsigned long long>(word));
+    return i;
+}
+
 std::string
 Inst::toString() const
 {

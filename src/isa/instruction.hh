@@ -40,6 +40,20 @@ struct Inst
     /** Inverse of encode(); panics on an illegal opcode field. */
     static Inst decode(std::uint64_t word);
 
+    /** decode() for a word read from a snapshot: an illegal opcode or a
+     *  register field past the architectural file is a corrupt
+     *  snapshot, so it is fatal(), not a panic. */
+    static Inst decodeSaved(std::uint64_t word);
+
+    /** Snapshot step: the encode() word. */
+    template <class Io> void io(Io &s)
+    {
+        std::uint64_t word = encode();
+        s.u64(word);
+        if constexpr (Io::loading)
+            *this = decodeSaved(word);
+    }
+
     /** Human-readable disassembly ("add x3, x1, x2"). */
     std::string toString() const;
 };

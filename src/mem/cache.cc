@@ -213,52 +213,28 @@ Cache::flush()
 }
 
 
+template <class Io>
 void
-Cache::save(snap::Writer &w) const
+Cache::io(Io &s)
 {
-    w.tag("cache");
-    w.u32(static_cast<std::uint32_t>(lines_.size()));
-    for (const Line &l : lines_) {
-        w.b(l.valid);
-        w.b(l.dirty);
-        w.b(l.nruRef);
-        w.u64(l.tag);
-        w.u64(l.lastUse);
-        w.u64(l.readyCycle);
+    s.tag("cache");
+    s.expect(static_cast<std::uint32_t>(lines_.size()), "cache lines");
+    for (Line &l : lines_) {
+        s.b(l.valid);
+        s.b(l.dirty);
+        s.b(l.nruRef);
+        s.u64(l.tag);
+        s.u64(l.lastUse);
+        s.u64(l.readyCycle);
     }
-    w.u32(static_cast<std::uint32_t>(mruWay_.size()));
-    for (std::uint32_t way : mruWay_)
-        w.u32(way);
-    w.u64(useCounter_);
-    rng_.save(w);
+    s.expect(static_cast<std::uint32_t>(mruWay_.size()), "cache sets");
+    for (std::uint32_t &way : mruWay_)
+        s.u32(way);
+    s.u64(useCounter_);
+    rng_.io(s);
 }
 
-void
-Cache::load(snap::Reader &r)
-{
-    r.tag("cache");
-    std::uint32_t n = r.u32();
-    fatal_if(n != lines_.size(),
-             "snapshot: cache '%s' has %u lines, expected %zu "
-             "(configuration mismatch)",
-             params_.name.c_str(), n, lines_.size());
-    for (Line &l : lines_) {
-        l.valid = r.b();
-        l.dirty = r.b();
-        l.nruRef = r.b();
-        l.tag = r.u64();
-        l.lastUse = r.u64();
-        l.readyCycle = r.u64();
-    }
-    std::uint32_t m = r.u32();
-    fatal_if(m != mruWay_.size(),
-             "snapshot: cache '%s' has %u sets, expected %zu "
-             "(configuration mismatch)",
-             params_.name.c_str(), m, mruWay_.size());
-    for (std::uint32_t &way : mruWay_)
-        way = r.u32();
-    useCounter_ = r.u64();
-    rng_.load(r);
-}
+template void Cache::io(snap::Writer &);
+template void Cache::io(snap::Reader &);
 
 } // namespace sst

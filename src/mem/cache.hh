@@ -106,10 +106,9 @@ class Cache
         traceLevel_ = level;
     }
 
-    /** Serialize tag/replacement state (geometry must already match;
+    /** Snapshot tag/replacement state (geometry must already match;
      *  stats travel with the owning StatGroup tree). */
-    void save(snap::Writer &w) const;
-    void load(snap::Reader &r);
+    template <class Io> void io(Io &s);
 
   private:
     struct Line

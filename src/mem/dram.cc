@@ -80,32 +80,20 @@ Dram::drain()
 }
 
 
+template <class Io>
 void
-Dram::save(snap::Writer &w) const
+Dram::io(Io &s)
 {
-    w.tag("dram");
-    w.u32(static_cast<std::uint32_t>(banks_.size()));
-    for (const Bank &b : banks_) {
-        w.u64(b.busyUntil);
-        w.u64(b.openRow);
+    s.tag("dram");
+    s.expect(static_cast<std::uint32_t>(banks_.size()), "DRAM banks");
+    for (Bank &b : banks_) {
+        s.u64(b.busyUntil);
+        s.u64(b.openRow);
     }
-    w.u64(channelFree_);
+    s.u64(channelFree_);
 }
 
-void
-Dram::load(snap::Reader &r)
-{
-    r.tag("dram");
-    std::uint32_t n = r.u32();
-    fatal_if(n != banks_.size(),
-             "snapshot: DRAM has %u banks, expected %zu "
-             "(configuration mismatch)",
-             n, banks_.size());
-    for (Bank &b : banks_) {
-        b.busyUntil = r.u64();
-        b.openRow = r.u64();
-    }
-    channelFree_ = r.u64();
-}
+template void Dram::io(snap::Writer &);
+template void Dram::io(snap::Reader &);
 
 } // namespace sst

@@ -56,8 +56,7 @@ class Dram
     /** Emit a Fill event (level 3) per access into @p buf. */
     void setTrace(trace::TraceBuffer *buf) { traceBuf_ = buf; }
 
-    void save(snap::Writer &w) const;
-    void load(snap::Reader &r);
+    template <class Io> void io(Io &s);
 
   private:
     struct Bank

@@ -484,106 +484,77 @@ MemorySystem::flushAll()
         port->flush();
 }
 
-void
-CorePort::save(snap::Writer &w) const
+namespace
 {
-    w.tag("coreport");
-    w.u32(coreId_);
-    w.u64(addressSalt_);
-    l1i_.save(w);
-    l1d_.save(w);
-    mshrs_.save(w);
-    dtlb_.save(w);
-    dataPf_.save(w);
-    instPf_.save(w);
-    std::vector<Addr> lines(prefetchedLines_.begin(),
-                            prefetchedLines_.end());
-    std::sort(lines.begin(), lines.end());
-    w.u64(lines.size());
-    for (Addr line : lines)
-        w.u64(line);
-    std::vector<Addr> stolen(cohInvalidatedLines_.begin(),
-                             cohInvalidatedLines_.end());
-    std::sort(stolen.begin(), stolen.end());
-    w.u64(stolen.size());
-    for (Addr line : stolen)
-        w.u64(line);
+
+/** An unordered line set, emitted sorted so equal sets encode to equal
+ *  bytes. */
+template <class Io>
+void
+lineSet(Io &s, std::unordered_set<Addr> &set)
+{
+    if constexpr (Io::loading) {
+        // These sets scale with the workload footprint (one entry per
+        // touched line); reserving up front avoids incremental
+        // rehashing, which dominated warm-window restore on
+        // large-footprint members.
+        set.clear();
+        std::size_t n = s.count(snap::Width::u64, 0, 8);
+        set.reserve(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            Addr line = 0;
+            s.u64(line);
+            set.insert(line);
+        }
+    } else {
+        std::vector<Addr> lines(set.begin(), set.end());
+        std::sort(lines.begin(), lines.end());
+        s.count(snap::Width::u64, lines.size(), 8);
+        for (Addr line : lines)
+            s.u64(line);
+    }
+}
+
+} // namespace
+
+template <class Io>
+void
+CorePort::io(Io &s)
+{
+    s.tag("coreport");
+    s.expect(static_cast<std::uint32_t>(coreId_), "core port");
+    s.u64(addressSalt_);
+    l1i_.io(s);
+    l1d_.io(s);
+    mshrs_.io(s);
+    dtlb_.io(s);
+    dataPf_.io(s);
+    instPf_.io(s);
+    lineSet(s, prefetchedLines_);
+    lineSet(s, cohInvalidatedLines_);
     // The owned-store hint is behavioural state: a resumed run must
     // skip exactly the directory lookups the uninterrupted run skips.
-    std::vector<Addr> owned(ownedStoreLines_.begin(),
-                            ownedStoreLines_.end());
-    std::sort(owned.begin(), owned.end());
-    w.u64(owned.size());
-    for (Addr line : owned)
-        w.u64(line);
+    lineSet(s, ownedStoreLines_);
 }
 
+template <class Io>
 void
-CorePort::load(snap::Reader &r)
+MemorySystem::io(Io &s)
 {
-    r.tag("coreport");
-    std::uint32_t id = r.u32();
-    fatal_if(id != coreId_,
-             "snapshot: core port %u where %u expected "
-             "(configuration mismatch)",
-             id, coreId_);
-    addressSalt_ = r.u64();
-    l1i_.load(r);
-    l1d_.load(r);
-    mshrs_.load(r);
-    dtlb_.load(r);
-    dataPf_.load(r);
-    instPf_.load(r);
-    // These sets scale with the workload footprint (one entry per
-    // touched line); reserving up front avoids incremental rehashing,
-    // which dominated warm-window restore on large-footprint members.
-    prefetchedLines_.clear();
-    std::uint64_t n = r.u64();
-    prefetchedLines_.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i)
-        prefetchedLines_.insert(r.u64());
-    cohInvalidatedLines_.clear();
-    std::uint64_t ns = r.u64();
-    cohInvalidatedLines_.reserve(ns);
-    for (std::uint64_t i = 0; i < ns; ++i)
-        cohInvalidatedLines_.insert(r.u64());
-    ownedStoreLines_.clear();
-    std::uint64_t no = r.u64();
-    ownedStoreLines_.reserve(no);
-    for (std::uint64_t i = 0; i < no; ++i)
-        ownedStoreLines_.insert(r.u64());
-}
-
-void
-MemorySystem::save(snap::Writer &w) const
-{
-    w.tag("memsys");
-    l2_.save(w);
-    dram_.save(w);
-    faults_.save(w);
-    w.u64(l2PortFree_);
-    w.u32(static_cast<std::uint32_t>(ports_.size()));
-    for (const auto &port : ports_)
-        port->save(w);
-    directory_.save(w);
-}
-
-void
-MemorySystem::load(snap::Reader &r)
-{
-    r.tag("memsys");
-    l2_.load(r);
-    dram_.load(r);
-    faults_.load(r);
-    l2PortFree_ = r.u64();
-    std::uint32_t n = r.u32();
-    fatal_if(n != ports_.size(),
-             "snapshot: %u core ports where %zu expected "
-             "(configuration mismatch)",
-             n, ports_.size());
+    s.tag("memsys");
+    l2_.io(s);
+    dram_.io(s);
+    faults_.io(s);
+    s.u64(l2PortFree_);
+    s.expect(static_cast<std::uint32_t>(ports_.size()), "core ports");
     for (auto &port : ports_)
-        port->load(r);
-    directory_.load(r);
+        port->io(s);
+    directory_.io(s);
 }
+
+template void CorePort::io(snap::Writer &);
+template void CorePort::io(snap::Reader &);
+template void MemorySystem::io(snap::Writer &);
+template void MemorySystem::io(snap::Reader &);
 
 } // namespace sst

@@ -130,11 +130,10 @@ class CorePort
     /** Invalidate both L1s (between benchmark phases). */
     void flush();
 
-    /** Serialize caches/MSHRs/TLB/prefetchers + the prefetched-line set
+    /** Snapshot caches/MSHRs/TLB/prefetchers + the prefetched-line set
      *  (sorted, so equal state encodes to equal bytes). The stats tree
      *  is serialized by the owning Machine, not here. */
-    void save(snap::Writer &w) const;
-    void load(snap::Reader &r);
+    template <class Io> void io(Io &s);
 
   private:
     friend class MemorySystem;
@@ -270,11 +269,10 @@ class MemorySystem
     /** Route coherence trace events into @p buf (null detaches). */
     void setTraceBuffer(trace::TraceBuffer *buf) { traceBuf_ = buf; }
 
-    /** Serialize L2/DRAM/fault-RNG/port-arbiter state plus every
+    /** Snapshot L2/DRAM/fault-RNG/port-arbiter state plus every
      *  registered core port (ports must already exist: configuration,
      *  including core count, is re-created before load). */
-    void save(snap::Writer &w) const;
-    void load(snap::Reader &r);
+    template <class Io> void io(Io &s);
 
   private:
     friend class CorePort;

@@ -90,34 +90,22 @@ MshrFile::invalidate(Addr lineAddr)
 }
 
 
+template <class Io>
 void
-MshrFile::save(snap::Writer &w) const
+MshrFile::io(Io &s)
 {
-    w.tag("mshr");
-    w.u32(static_cast<std::uint32_t>(entries_.size()));
-    for (const Entry &e : entries_) {
-        w.u64(e.lineAddr);
-        w.u64(e.completion);
-        w.b(e.demand);
-    }
+    s.tag("mshr");
+    snap::seq(
+        s, snap::Width::u32, entries_, 17,
+        [&](Entry &e) {
+            s.u64(e.lineAddr);
+            s.u64(e.completion);
+            s.b(e.demand);
+        },
+        capacity_);
 }
 
-void
-MshrFile::load(snap::Reader &r)
-{
-    r.tag("mshr");
-    std::uint32_t n = r.u32();
-    fatal_if(n > capacity_,
-             "snapshot: %u in-flight MSHR entries exceed capacity %u "
-             "(configuration mismatch)",
-             n, capacity_);
-    entries_.clear();
-    entries_.resize(n);
-    for (Entry &e : entries_) {
-        e.lineAddr = r.u64();
-        e.completion = r.u64();
-        e.demand = r.b();
-    }
-}
+template void MshrFile::io(snap::Writer &);
+template void MshrFile::io(snap::Reader &);
 
 } // namespace sst

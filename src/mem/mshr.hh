@@ -88,8 +88,7 @@ class MshrFile
     double meanDemandMlp() const { return mlp_.mean(); }
     const Distribution &mlpDist() const { return mlp_; }
 
-    void save(snap::Writer &w) const;
-    void load(snap::Reader &r);
+    template <class Io> void io(Io &s);
 
   private:
     unsigned capacity_;

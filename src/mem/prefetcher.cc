@@ -97,36 +97,23 @@ Prefetcher::strideTargets(Addr lineAddr, bool miss)
 }
 
 
+template <class Io>
 void
-Prefetcher::save(snap::Writer &w) const
+Prefetcher::io(Io &s)
 {
-    w.tag("prefetcher");
-    w.u64(lastTrigger_);
-    w.u32(static_cast<std::uint32_t>(strideTable_.size()));
-    for (const StrideEntry &e : strideTable_) {
-        w.u64(e.regionTag);
-        w.u64(e.lastAddr);
-        w.i64(e.delta);
-        w.u32(e.confidence);
+    s.tag("prefetcher");
+    s.u64(lastTrigger_);
+    s.expect(static_cast<std::uint32_t>(strideTable_.size()),
+             "stride table entries");
+    for (StrideEntry &e : strideTable_) {
+        s.u64(e.regionTag);
+        s.u64(e.lastAddr);
+        s.i64(e.delta);
+        s.u32(e.confidence);
     }
 }
 
-void
-Prefetcher::load(snap::Reader &r)
-{
-    r.tag("prefetcher");
-    lastTrigger_ = r.u64();
-    std::uint32_t n = r.u32();
-    fatal_if(n != strideTable_.size(),
-             "snapshot: stride table has %u entries, expected %zu "
-             "(configuration mismatch)",
-             n, strideTable_.size());
-    for (StrideEntry &e : strideTable_) {
-        e.regionTag = r.u64();
-        e.lastAddr = r.u64();
-        e.delta = r.i64();
-        e.confidence = r.u32();
-    }
-}
+template void Prefetcher::io(snap::Writer &);
+template void Prefetcher::io(snap::Reader &);
 
 } // namespace sst

@@ -54,8 +54,7 @@ class Prefetcher
     void noteIssued() { ++issued_; }
     void noteUseful() { ++useful_; }
 
-    void save(snap::Writer &w) const;
-    void load(snap::Reader &r);
+    template <class Io> void io(Io &s);
 
   private:
     std::vector<Addr> nextLineTargets(Addr lineAddr, bool miss);

@@ -82,34 +82,21 @@ Tlb::earliestWalkCompletion(Cycle now) const
 }
 
 
+template <class Io>
 void
-Tlb::save(snap::Writer &w) const
+Tlb::io(Io &s)
 {
-    w.tag("tlb");
-    w.u32(static_cast<std::uint32_t>(entries_.size()));
-    for (const Entry &e : entries_) {
-        w.u64(e.page);
-        w.u64(e.lastUse);
-        w.u64(e.walkReady);
+    s.tag("tlb");
+    s.expect(static_cast<std::uint32_t>(entries_.size()), "TLB entries");
+    for (Entry &e : entries_) {
+        s.u64(e.page);
+        s.u64(e.lastUse);
+        s.u64(e.walkReady);
     }
-    w.u64(useCounter_);
+    s.u64(useCounter_);
 }
 
-void
-Tlb::load(snap::Reader &r)
-{
-    r.tag("tlb");
-    std::uint32_t n = r.u32();
-    fatal_if(n != entries_.size(),
-             "snapshot: TLB has %u entries, expected %zu "
-             "(configuration mismatch)",
-             n, entries_.size());
-    for (Entry &e : entries_) {
-        e.page = r.u64();
-        e.lastUse = r.u64();
-        e.walkReady = r.u64();
-    }
-    useCounter_ = r.u64();
-}
+template void Tlb::io(snap::Writer &);
+template void Tlb::io(snap::Reader &);
 
 } // namespace sst

@@ -63,8 +63,7 @@ class Tlb
      *  or invalidCycle when no walk is pending (wake-cycle probe). */
     Cycle earliestWalkCompletion(Cycle now) const;
 
-    void save(snap::Writer &w) const;
-    void load(snap::Reader &r);
+    template <class Io> void io(Io &s);
 
   private:
     Addr pageOf(Addr addr) const { return addr / params_.pageBytes; }

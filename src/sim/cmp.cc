@@ -423,33 +423,34 @@ Cmp::run(std::uint64_t max_cycles)
     return res;
 }
 
+template <class Io>
+void
+Cmp::fileIo(Io &s)
+{
+    snap::header(s, snap::Kind::Cmp, config_.presetName, config_.model);
+    s.expect(static_cast<std::uint32_t>(cores_.size()), "cores");
+    for (const Program *program : programs_)
+        snap::program(s, program->name(), programFingerprint(*program));
+    s.u64(cycle_);
+    s.tag("cmp-state");
+    s.b(allHalted_);
+    s.b(livelocked_);
+    for (std::size_t i = 0; i < cores_.size(); ++i) {
+        cores_[i]->io(s);
+        watchdogs_[i]->io(s);
+    }
+    // One image in coherent mode, one per core otherwise.
+    for (const auto &image : images_)
+        image->io(s);
+    memsys_.io(s);
+    memsys_.stats().io(s);
+}
+
 std::vector<std::uint8_t>
 Cmp::snapshot() const
 {
     snap::Writer w;
-    w.u64(snap::fileMagic);
-    w.u32(snap::formatVersion);
-    w.u8(1); // kind: chip multiprocessor
-    w.str(config_.presetName);
-    w.str(config_.model);
-    w.u32(static_cast<std::uint32_t>(cores_.size()));
-    for (const Program *program : programs_) {
-        w.str(program->name());
-        w.u64(programFingerprint(*program));
-    }
-    w.u64(cycle_);
-    w.tag("cmp-state");
-    w.b(allHalted_);
-    w.b(livelocked_);
-    for (std::size_t i = 0; i < cores_.size(); ++i) {
-        cores_[i]->save(w);
-        watchdogs_[i]->save(w);
-    }
-    // One image in coherent mode, one per core otherwise.
-    for (const auto &image : images_)
-        image->save(w);
-    memsys_.save(w);
-    memsys_.stats().save(w);
+    const_cast<Cmp *>(this)->fileIo(w);
     return w.data();
 }
 
@@ -457,54 +458,15 @@ void
 Cmp::restore(const std::vector<std::uint8_t> &bytes)
 {
     snap::Reader r(bytes);
-    fatal_if(r.u64() != snap::fileMagic,
-             "snapshot: bad magic (not a snapshot file?)");
-    std::uint32_t version = r.u32();
-    fatal_if(version != snap::formatVersion,
-             "snapshot: format version %u, this build reads %u", version,
-             snap::formatVersion);
-    fatal_if(r.u8() != 1, "snapshot: not a CMP image");
-    std::string preset = r.str();
-    fatal_if(preset != config_.presetName,
-             "snapshot: preset '%s' where '%s' expected", preset.c_str(),
-             config_.presetName.c_str());
-    std::string model = r.str();
-    fatal_if(model != config_.model,
-             "snapshot: core model '%s' where '%s' expected",
-             model.c_str(), config_.model.c_str());
-    std::uint32_t n = r.u32();
-    fatal_if(n != cores_.size(),
-             "snapshot: %u cores where %zu expected", n, cores_.size());
-    for (const Program *program : programs_) {
-        std::string name = r.str();
-        fatal_if(name != program->name(),
-                 "snapshot: workload '%s' where '%s' expected",
-                 name.c_str(), program->name().c_str());
-        fatal_if(r.u64() != programFingerprint(*program),
-                 "snapshot: program '%s' differs from the one "
-                 "snapshotted",
-                 program->name().c_str());
-    }
-    cycle_ = r.u64();
-    r.tag("cmp-state");
-    allHalted_ = r.b();
-    livelocked_ = r.b();
-    for (std::size_t i = 0; i < cores_.size(); ++i) {
-        cores_[i]->load(r);
-        watchdogs_[i]->load(r);
-    }
-    for (const auto &image : images_)
-        image->load(r);
+    fileIo(r);
+    r.done();
     // Views are always drained at snapshot points; discard any buffered
     // bytes so the restored base is the only truth. The base image's
-    // write observer survives load() untouched (see the constructor),
-    // so post-restore remote writes squash exactly as before.
+    // write observer survives io() untouched (see the constructor), so
+    // post-restore remote writes squash exactly as before.
     for (const auto &view : views_)
         view->clearQuantum();
     overlayShared_.journal.clear();
-    memsys_.load(r);
-    memsys_.stats().load(r);
-    r.done();
 }
 
 Result<void>

@@ -97,6 +97,9 @@ class Cmp
     Result<void> restoreFromFile(const std::string &path);
 
   private:
+    /** The whole snapshot file: header, then every component's io(). */
+    template <class Io> void fileIo(Io &s);
+
     /** The quantum/barrier tick engine behind run(). */
     void runEngine(std::uint64_t max_cycles);
     /** Sync quantum in cycles (config override or mode default). */

@@ -95,29 +95,21 @@ Watchdog::skipBound() const
     return deadline == 0 ? 0 : deadline - 1;
 }
 
+template <class Io>
 void
-Watchdog::save(snap::Writer &w) const
+Watchdog::io(Io &s)
 {
-    w.tag("watchdog");
-    w.u64(lastInsts_);
-    w.u64(windowStart_);
-    w.u32(fruitless_);
-    w.u64(recoveries_);
-    w.u64(interventions_);
-    w.b(gaveUp_);
+    s.tag("watchdog");
+    s.u64(lastInsts_);
+    s.u64(windowStart_);
+    s.u32(fruitless_);
+    s.u64(recoveries_);
+    s.u64(interventions_);
+    s.b(gaveUp_);
 }
 
-void
-Watchdog::load(snap::Reader &r)
-{
-    r.tag("watchdog");
-    lastInsts_ = r.u64();
-    windowStart_ = r.u64();
-    fruitless_ = r.u32();
-    recoveries_ = r.u64();
-    interventions_ = r.u64();
-    gaveUp_ = r.b();
-}
+template void Watchdog::io(snap::Writer &);
+template void Watchdog::io(snap::Reader &);
 
 Machine::Machine(const MachineConfig &config, const Program &program)
     : config_(config), program_(program), memsys_(config.mem)
@@ -239,35 +231,47 @@ Machine::run(std::uint64_t max_cycles, const SnapPolicy &snap)
     return harvest();
 }
 
+template <class Io>
 void
-Machine::saveState(snap::Writer &w) const
+Machine::io(Io &s)
 {
-    w.tag("machine-state");
-    core_->save(w);
-    memsys_.save(w);
-    memsys_.stats().save(w);
-    image_.save(w);
-    watchdog_->save(w);
-    w.b(livelocked_);
+    s.tag("machine-state");
+    core_->io(s);
+    memsys_.io(s);
+    memsys_.stats().io(s);
+    image_.io(s);
+    watchdog_->io(s);
+    s.b(livelocked_);
 }
 
+template void Machine::io(snap::Writer &);
+template void Machine::io(snap::Reader &);
+
+template <class Io>
 void
-Machine::loadState(snap::Reader &r)
+Machine::fileIo(Io &s)
 {
-    r.tag("machine-state");
-    core_->load(r);
-    memsys_.load(r);
-    memsys_.stats().load(r);
-    image_.load(r);
-    watchdog_->load(r);
-    livelocked_ = r.b();
+    snap::header(s, snap::Kind::Machine, config_.presetName,
+                 config_.model);
+    snap::program(s, program_.name(), programFingerprint(program_));
+    Cycle cycle = core_->cycles();
+    s.u64(cycle); // informational, the core state holds the clock
+    io(s);
+    s.tag("trace");
+    bool traced = traceBuf_ != nullptr;
+    s.b(traced);
+    fatal_if(traced && !traceBuf_,
+             "snapshot carries a trace buffer but none is attached; "
+             "attach one before restore to keep traces byte-identical");
+    if (traced)
+        traceBuf_->io(s);
 }
 
 std::uint64_t
 Machine::stateHash() const
 {
     snap::Writer w;
-    saveState(w);
+    snap::save(w, *this);
     return w.hash();
 }
 
@@ -275,19 +279,7 @@ std::vector<std::uint8_t>
 Machine::snapshot() const
 {
     snap::Writer w;
-    w.u64(snap::fileMagic);
-    w.u32(snap::formatVersion);
-    w.u8(0); // kind: single-core machine
-    w.str(config_.presetName);
-    w.str(config_.model);
-    w.str(program_.name());
-    w.u64(programFingerprint(program_));
-    w.u64(core_->cycles());
-    saveState(w);
-    w.tag("trace");
-    w.b(traceBuf_ != nullptr);
-    if (traceBuf_)
-        traceBuf_->save(w);
+    const_cast<Machine *>(this)->fileIo(w);
     return w.data();
 }
 
@@ -295,37 +287,7 @@ void
 Machine::restore(const std::vector<std::uint8_t> &bytes)
 {
     snap::Reader r(bytes);
-    fatal_if(r.u64() != snap::fileMagic,
-             "snapshot: bad magic (not a snapshot file?)");
-    std::uint32_t version = r.u32();
-    fatal_if(version != snap::formatVersion,
-             "snapshot: format version %u, this build reads %u", version,
-             snap::formatVersion);
-    fatal_if(r.u8() != 0, "snapshot: not a single-core machine image");
-    std::string preset = r.str();
-    fatal_if(preset != config_.presetName,
-             "snapshot: preset '%s' where '%s' expected", preset.c_str(),
-             config_.presetName.c_str());
-    std::string model = r.str();
-    fatal_if(model != config_.model,
-             "snapshot: core model '%s' where '%s' expected",
-             model.c_str(), config_.model.c_str());
-    std::string workload = r.str();
-    fatal_if(workload != program_.name(),
-             "snapshot: workload '%s' where '%s' expected",
-             workload.c_str(), program_.name().c_str());
-    fatal_if(r.u64() != programFingerprint(program_),
-             "snapshot: program '%s' differs from the one snapshotted",
-             program_.name().c_str());
-    r.u64(); // cycle, informational (authoritative copy in core state)
-    loadState(r);
-    r.tag("trace");
-    if (r.b()) {
-        fatal_if(!traceBuf_,
-                 "snapshot carries a trace buffer but none is attached; "
-                 "attach one before restore to keep traces byte-identical");
-        traceBuf_->load(r);
-    }
+    fileIo(r);
     r.done();
 }
 

@@ -81,9 +81,8 @@ class Watchdog
         fruitless_ = 0;
     }
 
-    /** Serialize progress-tracking state (params stay bound). */
-    void save(snap::Writer &w) const;
-    void load(snap::Reader &r);
+    /** Snapshot progress-tracking state (params stay bound). */
+    template <class Io> void io(Io &s);
 
   private:
     const WatchdogParams params_;
@@ -158,6 +157,10 @@ class Machine
      *  hashes at equal cycles ⇒ byte-identical future behaviour. */
     std::uint64_t stateHash() const;
 
+    /** State payload shared by snapshot(), restore() and stateHash()
+     *  (no file header). */
+    template <class Io> void io(Io &s);
+
     /** Complete machine image (header + state), restorable in a fresh
      *  process via restore(). */
     std::vector<std::uint8_t> snapshot() const;
@@ -196,10 +199,8 @@ class Machine
     void loopTo(Cycle bound, const SnapPolicy *snap);
     RunResult harvest();
 
-    /** State payload shared by snapshot(), restore() and stateHash()
-     *  (no file header). */
-    void saveState(snap::Writer &w) const;
-    void loadState(snap::Reader &r);
+    /** The whole snapshot file: header, io(), trace buffer. */
+    template <class Io> void fileIo(Io &s);
 
     MachineConfig config_;
     const Program &program_;

@@ -21,7 +21,6 @@ namespace
 {
 
 constexpr unsigned kBbvBuckets = 32;
-constexpr std::uint8_t kProfileKind = 2;
 constexpr const char *kManifestName = "library.manifest";
 
 unsigned
@@ -52,35 +51,68 @@ hexU64(std::uint64_t v)
     return buf;
 }
 
+/**
+ * A member's header. The identity fields are the run's (preset, model,
+ * program, memory-config hash): saving writes them, loading fatal()s
+ * (trappable) on any mismatch. The region's start is then saved or
+ * loaded. Loaders pass the program's name and fingerprint rather than
+ * the Program so the fingerprint — a hash over every instruction and
+ * data byte — is computed once per run, not once per member.
+ */
+struct MemberHeader
+{
+    std::string preset;
+    std::string model;
+    std::string workload;
+    std::uint64_t fingerprint = 0;
+    std::uint64_t configHash = 0;
+    std::uint64_t index = 0;
+    std::uint64_t startInsts = 0;
+    Cycle startClock = 0;
+
+    template <class Io> void io(Io &s)
+    {
+        snap::header(s, snap::Kind::ProfileMember, preset, model);
+        snap::program(s, workload, fingerprint);
+        s.expect(configHash, "config hash");
+        s.u64(index);
+        s.u64(startInsts);
+        s.u64(startClock);
+    }
+};
+
+/** A member's warm start state, after its header. */
+template <class Io>
+void
+memberState(Io &s, ArchState &cursor, MemorySystem &memsys,
+            MemoryImage &image)
+{
+    s.tag("profile-cursor");
+    cursor.io(s);
+    s.tag("profile-mem");
+    memsys.io(s);
+    s.tag("profile-stats");
+    memsys.stats().io(s);
+    s.tag("profile-image");
+    image.io(s);
+    s.tag("profile-end");
+}
+
 /** Serialize one selected region's warm start state. The trailing u64
  *  is an FNV-1a checksum over every preceding byte, so triage can
  *  reject arbitrary corruption without deserializing anything. */
 std::vector<std::uint8_t>
 serializeMember(const ProfileLibrary &lib, const ProfileRegion &region,
-                const ArchState &cursor, const MemorySystem &memsys,
-                const MemoryImage &image)
+                ArchState &cursor, MemorySystem &memsys,
+                MemoryImage &image)
 {
     snap::Writer w;
-    w.u64(snap::fileMagic);
-    w.u32(snap::formatVersion);
-    w.u8(kProfileKind);
-    w.str(lib.preset);
-    w.str(lib.model);
-    w.str(lib.workload);
-    w.u64(lib.fingerprint);
-    w.u64(lib.configHash);
-    w.u64(region.index);
-    w.u64(region.startInsts);
-    w.u64(region.startClock);
-    w.tag("profile-cursor");
-    cursor.save(w);
-    w.tag("profile-mem");
-    memsys.save(w);
-    w.tag("profile-stats");
-    memsys.stats().save(w);
-    w.tag("profile-image");
-    image.save(w);
-    w.tag("profile-end");
+    MemberHeader header{lib.preset,        lib.model,
+                        lib.workload,      lib.fingerprint,
+                        lib.configHash,    region.index,
+                        region.startInsts, region.startClock};
+    header.io(w);
+    memberState(w, cursor, memsys, image);
     std::uint64_t sum = w.hash();
     w.u64(sum);
     return w.data();
@@ -96,70 +128,6 @@ memberChecksumOk(const std::vector<std::uint8_t> &bytes)
     for (int i = 0; i < 8; ++i)
         stored |= static_cast<std::uint64_t>(bytes[body + i]) << (8 * i);
     return snap::fnv1a(bytes.data(), body) == stored;
-}
-
-/** Read and validate a member header against the run's identity;
- *  fatal() (trappable) on any mismatch. Leaves @p r at the start of
- *  the state sections. Callers pass the program's name and
- *  fingerprint rather than the Program so the fingerprint — a hash
- *  over every instruction and data byte — is computed once per run,
- *  not once per member. */
-void
-readMemberHeader(snap::Reader &r, const MachineConfig &config,
-                 const std::string &programName,
-                 std::uint64_t programFp, std::uint64_t configHash,
-                 std::uint64_t &regionIndex, std::uint64_t &startInsts,
-                 Cycle &startClock)
-{
-    fatal_if(r.u64() != snap::fileMagic,
-             "profile member: bad magic (not a snapshot file?)");
-    std::uint32_t version = r.u32();
-    fatal_if(version != snap::formatVersion,
-             "profile member: format version %u, this build reads %u",
-             version, snap::formatVersion);
-    std::uint8_t kind = r.u8();
-    fatal_if(kind != kProfileKind,
-             "profile member: snapshot kind %u is not a profile region",
-             kind);
-    std::string preset = r.str();
-    fatal_if(preset != config.presetName,
-             "profile member: preset '%s' where '%s' expected",
-             preset.c_str(), config.presetName.c_str());
-    std::string model = r.str();
-    fatal_if(model != config.model,
-             "profile member: core model '%s' where '%s' expected",
-             model.c_str(), config.model.c_str());
-    std::string workload = r.str();
-    fatal_if(workload != programName,
-             "profile member: workload '%s' where '%s' expected",
-             workload.c_str(), programName.c_str());
-    std::uint64_t fp = r.u64();
-    fatal_if(fp != programFp,
-             "profile member: program fingerprint %s does not match this "
-             "program (%s)",
-             hexU64(fp).c_str(), hexU64(programFp).c_str());
-    std::uint64_t ch = r.u64();
-    fatal_if(ch != configHash,
-             "profile member: config hash %s where %s expected",
-             hexU64(ch).c_str(), hexU64(configHash).c_str());
-    regionIndex = r.u64();
-    startInsts = r.u64();
-    startClock = r.u64();
-}
-
-void
-restoreMemberState(snap::Reader &r, MemorySystem &memsys,
-                   MemoryImage &image, ArchState &cursor)
-{
-    r.tag("profile-cursor");
-    cursor.load(r);
-    r.tag("profile-mem");
-    memsys.load(r);
-    r.tag("profile-stats");
-    memsys.stats().load(r);
-    r.tag("profile-image");
-    image.load(r);
-    r.tag("profile-end");
 }
 
 /** L1 distance between two normalized basic-block vectors. */
@@ -674,12 +642,11 @@ loadProfileLibrary(const std::string &dir, const MachineConfig &config,
         const auto &data = bytes.value();
         auto header = trapFatal([&] {
             snap::Reader rd(data.data(), data.size() - 8);
-            std::uint64_t index = 0, start = 0;
-            Cycle clockAt = 0;
-            readMemberHeader(rd, config, program.name(), programFp,
-                             configHash, index, start, clockAt);
-            fatal_if(index != r.index || start != r.startInsts
-                         || clockAt != r.startClock,
+            MemberHeader h{config.presetName, config.model,
+                           program.name(), programFp, configHash};
+            h.io(rd);
+            fatal_if(h.index != r.index || h.startInsts != r.startInsts
+                         || h.startClock != r.startClock,
                      "member header disagrees with the manifest");
         });
         if (!header.ok()) {
@@ -761,15 +728,14 @@ runSampledFromLibrary(const MachineConfig &config, const Program &program,
         MemoryImage image;
         ArchState cursor;
         snap::Reader rd(pick->member.data(), pick->member.size() - 8);
-        std::uint64_t index = 0, start = 0;
-        Cycle clock = 0;
-        readMemberHeader(rd, config, program.name(), programFp,
-                         library.configHash, index, start, clock);
-        restoreMemberState(rd, memsys, image, cursor);
+        MemberHeader h{config.presetName, config.model, program.name(),
+                       programFp, library.configHash};
+        h.io(rd);
+        memberState(rd, cursor, memsys, image);
         rd.done();
 
         auto core = makeCore(config, program, image, port);
-        core->warmStart(cursor, clock);
+        core->warmStart(cursor, h.startClock);
         std::uint64_t budget_cycles = params.detailInsts * 1000;
         while (!core->halted()
                && core->instsRetired() < params.detailInsts
@@ -828,18 +794,18 @@ warmStartMachine(Machine &machine, const ProfileLibrary &library,
 
     return trapFatal([&] {
         snap::Reader rd(pick->member.data(), pick->member.size() - 8);
-        std::uint64_t index = 0, start = 0;
-        Cycle clock = 0;
-        readMemberHeader(rd, machine.config(), machine.program().name(),
-                         programFingerprint(machine.program()),
-                         library.configHash, index, start, clock);
+        MemberHeader h{machine.config().presetName,
+                       machine.config().model, machine.program().name(),
+                       programFingerprint(machine.program()),
+                       library.configHash};
+        h.io(rd);
         ArchState cursor;
-        restoreMemberState(rd, machine.memsys(), machine.image(), cursor);
+        memberState(rd, cursor, machine.memsys(), machine.image());
         rd.done();
-        machine.core().warmStart(cursor, clock);
-        machine.watchdog().rebase(clock);
+        machine.core().warmStart(cursor, h.startClock);
+        machine.watchdog().rebase(h.startClock);
         if (startInsts)
-            *startInsts = start;
+            *startInsts = h.startInsts;
     });
 }
 

@@ -84,6 +84,42 @@ Reader::failBool(std::uint8_t v) const
     fatal("snapshot: bad bool encoding 0x%02x at offset %zu", v, pos_ - 1);
 }
 
+void
+Reader::failExpect(const char *what, std::uint64_t got,
+                   std::uint64_t want) const
+{
+    fatal("snapshot: %s %llu where %llu expected (configuration mismatch)",
+          what, static_cast<unsigned long long>(got),
+          static_cast<unsigned long long>(want));
+}
+
+void
+Reader::failExpect(const char *what, const std::string &got,
+                   const std::string &want) const
+{
+    fatal("snapshot: %s '%s' where '%s' expected (configuration mismatch)",
+          what, got.c_str(), want.c_str());
+}
+
+void
+Reader::failCount(std::uint64_t n, std::size_t at, std::size_t minBytes,
+                  std::size_t max) const
+{
+    if (n > max)
+        fatal("snapshot: count %llu at offset %zu exceeds the limit %zu "
+              "(corrupt snapshot)",
+              static_cast<unsigned long long>(n), at, max);
+    fatal("snapshot: count %llu at offset %zu of %zu-byte elements "
+          "overruns the %zu remaining bytes (corrupt snapshot)",
+          static_cast<unsigned long long>(n), at, minBytes, remaining());
+}
+
+void
+Reader::failEnum(const char *what, std::uint8_t v) const
+{
+    fatal("snapshot: bad %s %u (corrupt snapshot)", what, v);
+}
+
 double
 Reader::f64()
 {
@@ -208,17 +244,12 @@ probeSnapshotFile(const std::string &path)
     std::uint8_t head[12];
     std::size_t got = std::fread(head, 1, sizeof(head), f);
     std::fclose(f);
-    if (got != sizeof(head))
-        return Error{"snapshot '" + path + "' is truncated ("
-                     + std::to_string(got) + " bytes)"};
-    Reader r(head, sizeof(head));
-    if (r.u64() != fileMagic)
-        return Error{"snapshot '" + path + "' has bad magic (not a "
-                     "snapshot file, or a torn write)"};
-    if (std::uint32_t v = r.u32(); v != formatVersion)
-        return Error{"snapshot '" + path + "' is format version "
-                     + std::to_string(v) + ", this build reads "
-                     + std::to_string(formatVersion)};
+    auto res = trapFatal([&] {
+        Reader r(head, got);
+        format(r);
+    });
+    if (!res.ok())
+        return Error{"'" + path + "': " + res.error().message};
     return {};
 }
 

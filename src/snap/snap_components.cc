@@ -1,6 +1,6 @@
 /**
  * @file
- * save()/load() definitions for classes that live in the common library.
+ * io() definitions for classes that live in the common library.
  *
  * The bodies live here (in sst_snap, which links sst_common) rather than
  * in stats.cc/rng.cc so that sst_common never references snap symbols —
@@ -14,114 +14,57 @@
 namespace sst
 {
 
+template <class Io>
 void
-Rng::save(snap::Writer &w) const
-{
-    for (std::uint64_t word : state_)
-        w.u64(word);
-}
-
-void
-Rng::load(snap::Reader &r)
+Rng::io(Io &s)
 {
     for (std::uint64_t &word : state_)
-        word = r.u64();
+        s.u64(word);
 }
 
+template <class Io>
 void
-Distribution::save(snap::Writer &w) const
+Distribution::io(Io &s)
 {
-    w.u32(static_cast<std::uint32_t>(buckets_.size()));
-    for (std::uint64_t b : buckets_)
-        w.u64(b);
-    w.u64(width_);
-    w.u64(count_);
-    w.u64(sum_);
-    w.u64(overflow_);
-    w.u64(maxSample_);
-}
-
-void
-Distribution::load(snap::Reader &r)
-{
-    std::uint32_t n = r.u32();
-    fatal_if(n != buckets_.size(),
-             "snapshot: distribution has %u buckets, expected %zu "
-             "(configuration mismatch)",
-             n, buckets_.size());
+    s.expect(static_cast<std::uint32_t>(buckets_.size()),
+             "distribution buckets");
     for (std::uint64_t &b : buckets_)
-        b = r.u64();
-    std::uint64_t width = r.u64();
-    fatal_if(width != width_,
-             "snapshot: distribution bucket width %llu, expected %llu "
-             "(configuration mismatch)",
-             static_cast<unsigned long long>(width),
-             static_cast<unsigned long long>(width_));
-    count_ = r.u64();
-    sum_ = r.u64();
-    overflow_ = r.u64();
-    maxSample_ = r.u64();
+        s.u64(b);
+    s.expect(width_, "distribution bucket width");
+    s.u64(count_);
+    s.u64(sum_);
+    s.u64(overflow_);
+    s.u64(maxSample_);
 }
 
+template <class Io>
 void
-StatGroup::save(snap::Writer &w) const
+StatGroup::io(Io &s)
 {
-    w.tag("statgroup");
-    w.str(name_);
-    w.u32(static_cast<std::uint32_t>(scalars_.size()));
-    for (const NamedScalar *s : scalars_) {
-        w.str(s->name);
-        w.u64(s->stat.value());
+    s.tag("statgroup");
+    s.expect(name_, "stat group");
+    s.expect(static_cast<std::uint32_t>(scalars_.size()), "scalar count");
+    for (NamedScalar *sc : scalars_) {
+        s.expect(sc->name, "stat");
+        sc->stat.io(s);
     }
-    w.u32(static_cast<std::uint32_t>(dists_.size()));
-    for (const NamedDist *d : dists_) {
-        w.str(d->name);
-        d->stat.save(w);
-    }
-    w.u32(static_cast<std::uint32_t>(children_.size()));
-    for (const StatGroup *c : children_)
-        c->save(w);
-}
-
-void
-StatGroup::load(snap::Reader &r)
-{
-    r.tag("statgroup");
-    std::string name = r.str();
-    fatal_if(name != name_,
-             "snapshot: stat group '%s' where '%s' expected "
-             "(configuration mismatch)",
-             name.c_str(), name_.c_str());
-    std::uint32_t nScalars = r.u32();
-    fatal_if(nScalars != scalars_.size(),
-             "snapshot: stat group '%s' has %u scalars, expected %zu",
-             name_.c_str(), nScalars, scalars_.size());
-    for (NamedScalar *s : scalars_) {
-        std::string sname = r.str();
-        fatal_if(sname != s->name,
-                 "snapshot: stat '%s.%s' where '%s.%s' expected",
-                 name_.c_str(), sname.c_str(), name_.c_str(),
-                 s->name.c_str());
-        s->stat.set(r.u64());
-    }
-    std::uint32_t nDists = r.u32();
-    fatal_if(nDists != dists_.size(),
-             "snapshot: stat group '%s' has %u distributions, expected %zu",
-             name_.c_str(), nDists, dists_.size());
+    s.expect(static_cast<std::uint32_t>(dists_.size()),
+             "distribution count");
     for (NamedDist *d : dists_) {
-        std::string dname = r.str();
-        fatal_if(dname != d->name,
-                 "snapshot: dist '%s.%s' where '%s.%s' expected",
-                 name_.c_str(), dname.c_str(), name_.c_str(),
-                 d->name.c_str());
-        d->stat.load(r);
+        s.expect(d->name, "distribution");
+        d->stat.io(s);
     }
-    std::uint32_t nChildren = r.u32();
-    fatal_if(nChildren != children_.size(),
-             "snapshot: stat group '%s' has %u children, expected %zu",
-             name_.c_str(), nChildren, children_.size());
+    s.expect(static_cast<std::uint32_t>(children_.size()),
+             "child group count");
     for (StatGroup *c : children_)
-        c->load(r);
+        c->io(s);
 }
+
+template void Rng::io(snap::Writer &);
+template void Rng::io(snap::Reader &);
+template void Distribution::io(snap::Writer &);
+template void Distribution::io(snap::Reader &);
+template void StatGroup::io(snap::Writer &);
+template void StatGroup::io(snap::Reader &);
 
 } // namespace sst

@@ -70,60 +70,29 @@ TraceBuffer::clear()
     dropped_ = 0;
 }
 
+template <class Io>
 void
-TraceBuffer::save(snap::Writer &w) const
+TraceBuffer::io(Io &s)
 {
-    w.tag("tracebuf");
-    w.u64(capacity_);
-    w.u64(oldest_);
-    w.u64(recorded_);
-    w.u64(dropped_);
-    w.u64(events_.size());
-    for (const TraceEvent &ev : events_) {
-        w.u64(ev.cycle);
-        w.u64(ev.pc);
-        w.u64(ev.seq);
-        w.u32(ev.arg);
-        w.u8(static_cast<std::uint8_t>(ev.kind));
-        w.u8(static_cast<std::uint8_t>(ev.strand));
-    }
+    s.tag("tracebuf");
+    s.expect(static_cast<std::uint64_t>(capacity_), "trace buffer capacity");
+    s.u64(oldest_);
+    s.u64(recorded_);
+    s.u64(dropped_);
+    snap::seq(
+        s, snap::Width::u64, events_, 30,
+        [&](TraceEvent &ev) {
+            s.u64(ev.cycle);
+            s.u64(ev.pc);
+            s.u64(ev.seq);
+            s.u32(ev.arg);
+            s.enum8(ev.kind, TraceKind::NumKinds, "trace kind");
+            s.enum8(ev.strand, TraceStrand::NumStrands, "trace strand");
+        },
+        capacity_);
 }
 
-void
-TraceBuffer::load(snap::Reader &r)
-{
-    r.tag("tracebuf");
-    std::uint64_t cap = r.u64();
-    fatal_if(cap != capacity_,
-             "snapshot: trace buffer capacity %llu, expected %zu "
-             "(configuration mismatch)",
-             static_cast<unsigned long long>(cap), capacity_);
-    oldest_ = r.u64();
-    recorded_ = r.u64();
-    dropped_ = r.u64();
-    std::uint64_t n = r.u64();
-    fatal_if(n > capacity_,
-             "snapshot: trace buffer holds %llu > capacity %zu events "
-             "(corrupt snapshot)",
-             static_cast<unsigned long long>(n), capacity_);
-    events_.clear();
-    events_.resize(n);
-    for (TraceEvent &ev : events_) {
-        ev.cycle = r.u64();
-        ev.pc = r.u64();
-        ev.seq = r.u64();
-        ev.arg = r.u32();
-        std::uint8_t kind = r.u8();
-        fatal_if(kind >= static_cast<std::uint8_t>(TraceKind::NumKinds),
-                 "snapshot: bad trace kind %u (corrupt snapshot)", kind);
-        ev.kind = static_cast<TraceKind>(kind);
-        std::uint8_t strand = r.u8();
-        fatal_if(strand >=
-                     static_cast<std::uint8_t>(TraceStrand::NumStrands),
-                 "snapshot: bad trace strand %u (corrupt snapshot)",
-                 strand);
-        ev.strand = static_cast<TraceStrand>(strand);
-    }
-}
+template void TraceBuffer::io(snap::Writer &);
+template void TraceBuffer::io(snap::Reader &);
 
 } // namespace sst::trace

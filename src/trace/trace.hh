@@ -29,12 +29,6 @@
 #define SST_TRACE 1
 #endif
 
-namespace sst::snap
-{
-class Writer;
-class Reader;
-} // namespace sst::snap
-
 namespace sst::trace
 {
 
@@ -122,10 +116,9 @@ class TraceBuffer
 
     void clear();
 
-    /** Serialize ring contents + cursors, so a restored run's trace
+    /** Snapshot ring contents + cursors, so a restored run's trace
      *  stream continues byte-identically to an uninterrupted one. */
-    void save(snap::Writer &w) const;
-    void load(snap::Reader &r);
+    template <class Io> void io(Io &s);
 
   private:
     std::size_t capacity_;

@@ -173,12 +173,12 @@ TEST(Directory, SaveLoadRoundTripIsByteStable)
     dir.onAccess(0x2000, 0, false);
 
     snap::Writer w1;
-    dir.save(w1);
+    snap::save(w1, dir);
     Directory copy(testCohParams());
     snap::Reader r(w1.data());
-    copy.load(r);
+    copy.io(r);
     snap::Writer w2;
-    copy.save(w2);
+    snap::save(w2, copy);
     EXPECT_EQ(w1.data(), w2.data());
     EXPECT_EQ(copy.lineState(0x1000).sharers,
               dir.lineState(0x1000).sharers);

@@ -19,6 +19,7 @@
 
 #include "common/rng.hh"
 #include "common/stats.hh"
+#include "isa/instruction.hh"
 #include "snap/snap.hh"
 #include "trace/trace.hh"
 
@@ -117,6 +118,80 @@ TEST(Snap, TruncationIsFatal)
     EXPECT_FALSE(res.ok());
 }
 
+/** A count whose elements cannot fit in the remaining bytes is fatal
+ *  before anything is sized from it: the SSQ / load-log shape, a u32
+ *  prefix of 0xFFFFFFFF. */
+TEST(Snap, CountBeyondRemainingBytesIsFatal)
+{
+    snap::Writer w;
+    w.u32(0xFFFFFFFFu);
+    w.u64(1);
+    w.u64(2);
+    auto res = trapFatal([&] {
+        snap::Reader r(w.data());
+        std::vector<std::uint64_t> v;
+        snap::seq(r, snap::Width::u32, v, 8,
+                  [&](std::uint64_t &x) { r.u64(x); });
+    });
+    ASSERT_FALSE(res.ok());
+    EXPECT_EQ(res.error().exitCode, exit_code::badInput);
+    EXPECT_NE(res.error().message.find("count 4294967295"),
+              std::string::npos)
+        << res.error().message;
+
+    // The same sequence with an honest count loads.
+    snap::Writer ok;
+    std::vector<std::uint64_t> src{1, 2};
+    snap::seq(ok, snap::Width::u32, src, 8,
+              [&](std::uint64_t &x) { ok.u64(x); });
+    snap::Reader r(ok.data());
+    std::vector<std::uint64_t> dst;
+    snap::seq(r, snap::Width::u32, dst, 8,
+              [&](std::uint64_t &x) { r.u64(x); });
+    r.done();
+    EXPECT_EQ(dst, src);
+
+    // A count above the caller's limit is rejected too.
+    auto over = trapFatal([&] {
+        snap::Reader r2(ok.data());
+        (void)r2.count(snap::Width::u32, 0, 8, 1);
+    });
+    EXPECT_FALSE(over.ok());
+}
+
+/** Instruction words read from a snapshot are validated with fatal():
+ *  an illegal opcode or a register field past x31 is corrupt input. */
+TEST(Snap, CorruptInstructionWordIsFatal)
+{
+    Inst badReg = inst::rrr(Opcode::ADD, 1, 2, 3);
+    badReg.rs2 = 40; // encodable in the 6-bit field, past the file
+    const std::uint64_t words[] = {
+        std::uint64_t{0xff} << 56, // opcode field past NumOpcodes
+        badReg.encode(),
+    };
+    for (std::uint64_t word : words) {
+        snap::Writer w;
+        w.u64(word);
+        auto res = trapFatal([&] {
+            snap::Reader r(w.data());
+            Inst i;
+            i.io(r);
+        });
+        ASSERT_FALSE(res.ok()) << std::hex << word;
+        EXPECT_NE(res.error().message.find("corrupt snapshot"),
+                  std::string::npos)
+            << res.error().message;
+    }
+
+    Inst good = inst::rrr(Opcode::ADD, 31, 2, 3);
+    snap::Writer w;
+    snap::save(w, good);
+    snap::Reader r(w.data());
+    Inst back;
+    back.io(r);
+    EXPECT_EQ(back, good);
+}
+
 TEST(Snap, TrailingGarbageIsFatal)
 {
     snap::Writer w;
@@ -171,14 +246,14 @@ TEST(Snap, RngRoundTrip)
         (void)rng.next();
 
     snap::Writer w;
-    rng.save(w);
+    snap::save(w, rng);
     std::vector<std::uint64_t> expect;
     for (int i = 0; i < 100; ++i)
         expect.push_back(rng.next());
 
     Rng other(999); // deliberately different seed
     snap::Reader r(w.data());
-    other.load(r);
+    other.io(r);
     r.done();
     for (int i = 0; i < 100; ++i)
         EXPECT_EQ(other.next(), expect[i]) << "draw " << i;
@@ -193,12 +268,12 @@ TEST(Snap, DistributionRoundTrip)
     d.sample(7, 12); // bulk path
 
     snap::Writer w;
-    d.save(w);
+    snap::save(w, d);
 
     Distribution e;
     e.init(100, 10); // geometry is config, re-established by init()
     snap::Reader r(w.data());
-    e.load(r);
+    e.io(r);
     r.done();
 
     EXPECT_EQ(e.count(), d.count());
@@ -223,7 +298,7 @@ TEST(Snap, StatGroupRoundTripAndValidation)
     d.sample(13);
 
     snap::Writer w;
-    g.save(w);
+    snap::save(w, g);
 
     // Identically shaped tree: values transfer (and the formula,
     // being derived, recomputes from the restored scalars).
@@ -236,7 +311,7 @@ TEST(Snap, StatGroupRoundTripAndValidation)
     });
     {
         snap::Reader r(w.data());
-        g2.load(r);
+        g2.io(r);
         r.done();
     }
     EXPECT_EQ(a2.value(), 1000u);
@@ -249,7 +324,7 @@ TEST(Snap, StatGroupRoundTripAndValidation)
     g3.addDist("occupancy", "dq occupancy", 64, 8);
     auto res = trapFatal([&] {
         snap::Reader r(w.data());
-        g3.load(r);
+        g3.io(r);
     });
     EXPECT_FALSE(res.ok());
 }
@@ -271,18 +346,18 @@ TEST(Snap, TraceBufferRoundTrip)
     }
 
     snap::Writer w;
-    buf.save(w);
+    snap::save(w, buf);
 
     trace::TraceBuffer other(16);
     snap::Reader r(w.data());
-    other.load(r);
+    other.io(r);
     r.done();
 
     // Capacity is configuration, not state: a mismatch is fatal.
     trace::TraceBuffer wrongCap(32);
     auto res = trapFatal([&] {
         snap::Reader r2(w.data());
-        wrongCap.load(r2);
+        wrongCap.io(r2);
     });
     EXPECT_FALSE(res.ok());
 

@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -24,6 +25,7 @@
 #include "sim/fastfwd.hh"
 #include "sim/machine.hh"
 #include "sim/presets.hh"
+#include "sim/profile.hh"
 #include "sim_test_util.hh"
 #include "snap/diff.hh"
 #include "snap/snap.hh"
@@ -45,6 +47,83 @@ tmpPath(const std::string &stem)
 {
     return ::testing::TempDir() + "sstsim_" + stem + ".snap";
 }
+
+std::uint64_t
+fnv(const std::vector<std::uint8_t> &bytes)
+{
+    return snap::fnv1a(bytes.data(), bytes.size());
+}
+
+/** FNV-1a of Machine::snapshot() at cycle 4096 for one preset and
+ *  workload. A changed value is a snapshot format change: bump
+ *  snap::formatVersion and re-record. */
+struct GoldenSnap
+{
+    const char *preset;
+    const char *workload;
+    std::uint64_t fnv;
+};
+
+const GoldenSnap kGoldenSnaps[] = {
+    {"inorder", "pointer_chase", 0x20017d50d5d9fd79ULL},
+    {"scout", "pointer_chase", 0x15fd2fe9c34186a7ULL},
+    {"ea", "pointer_chase", 0x44ec41f7c7d516e1ULL},
+    {"sst2", "pointer_chase", 0xe94da36e7b9230afULL},
+    {"sst4", "pointer_chase", 0x93861c3f3096c2afULL},
+    {"sst8", "pointer_chase", 0x4e61ab05ef677297ULL},
+    {"ooo-small", "pointer_chase", 0xc70b3533b3fee4f0ULL},
+    {"ooo-large", "pointer_chase", 0xcfd7d3cbe309deafULL},
+    {"ooo-huge", "pointer_chase", 0xd3105e8ceba45d4aULL},
+    {"inorder", "oltp_mix", 0x75a249c04cb6a02ULL},
+    {"scout", "oltp_mix", 0xc3b4d43529f16619ULL},
+    {"ea", "oltp_mix", 0x9370bedfb646da24ULL},
+    {"sst2", "oltp_mix", 0x293be42a9c4f289eULL},
+    {"sst4", "oltp_mix", 0x12d0c590d87f411cULL},
+    {"sst8", "oltp_mix", 0xbb8b36a80a0c34f0ULL},
+    {"ooo-small", "oltp_mix", 0x3ef92bcf9b3fe95bULL},
+    {"ooo-large", "oltp_mix", 0xd9c449cc6536d89eULL},
+    {"ooo-huge", "oltp_mix", 0x6537c189f8ce1877ULL},
+    {"inorder", "hash_join", 0xdc873fc3f0b834b9ULL},
+    {"scout", "hash_join", 0xc2c12cf383a0cf02ULL},
+    {"ea", "hash_join", 0x2357b3401a90e2b6ULL},
+    {"sst2", "hash_join", 0xf666090285268269ULL},
+    {"sst4", "hash_join", 0xced8c2a77ef372a2ULL},
+    {"sst8", "hash_join", 0xc88e2584934b896cULL},
+    {"ooo-small", "hash_join", 0x85ab7c7e00efaf65ULL},
+    {"ooo-large", "hash_join", 0xc5d3a05b92b0c794ULL},
+    {"ooo-huge", "hash_join", 0xc41b7f4774618c97ULL},
+};
+
+/**
+ * Offset of the prefetched-lines count in a machine snapshot's first
+ * core port: the u64 after that port's two "prefetcher" sections (a
+ * tag, the last trigger, then a u32 count of 28-byte stride entries).
+ */
+std::size_t
+prefetchedLinesCountAt(const std::vector<std::uint8_t> &image)
+{
+    auto find = [&](const std::string &tag, std::size_t from) {
+        auto it = std::search(image.begin() + from, image.end(),
+                              tag.begin(), tag.end());
+        EXPECT_NE(it, image.end()) << tag;
+        return static_cast<std::size_t>(it - image.begin()) + tag.size();
+    };
+    auto u32At = [&](std::size_t at) {
+        std::uint32_t v = 0;
+        for (int i = 0; i < 4; ++i)
+            v |= static_cast<std::uint32_t>(image[at + i]) << (8 * i);
+        return v;
+    };
+    std::size_t at = find("coreport", 0);
+    at = find("prefetcher", find("prefetcher", at));
+    at += 8; // last trigger
+    return at + 4 + 28 * std::size_t{u32At(at)};
+}
+
+/** The pinned hashes of the cases outside the preset x workload grid. */
+constexpr std::uint64_t kGoldenValuePred = 0xf461a500c40e7b1ULL;
+constexpr std::uint64_t kGoldenCmp = 0x2da2438769b2aee3ULL;
+constexpr std::uint64_t kGoldenMember = 0x6298bc2a64131e38ULL;
 
 } // namespace
 
@@ -200,6 +279,31 @@ TEST(Snapshot, RestoreValidatesIdentity)
     EXPECT_EQ(dst.stateHash(), src.stateHash());
 }
 
+/** A corrupt length prefix fails the restore with a clean input error
+ *  (exit code 65), not an allocation abort sized by the bad count. */
+TEST(Snapshot, CorruptCountFailsCleanly)
+{
+    Program program = workloadProgram("hash_join");
+    Machine src(makePreset("sst2"), program);
+    src.stepTo(5000);
+    std::vector<std::uint8_t> image = src.snapshot();
+    std::size_t at = prefetchedLinesCountAt(image);
+    ASSERT_LE(at + 8, image.size());
+    for (int i = 0; i < 8; ++i)
+        image[at + i] = static_cast<std::uint8_t>((1ULL << 62) >> (8 * i));
+
+    const std::string path = tmpPath("corrupt_count");
+    ASSERT_TRUE(snap::writeFile(path, image).ok());
+    Machine dst(makePreset("sst2"), program);
+    auto res = dst.restoreFromFile(path);
+    std::remove(path.c_str());
+    ASSERT_FALSE(res.ok());
+    EXPECT_EQ(res.error().exitCode, exit_code::badInput);
+    EXPECT_NE(res.error().message.find("snapshot: count"),
+              std::string::npos)
+        << res.error().message;
+}
+
 /**
  * Differ self-check: fast-forward on vs off over the same preset and
  * workload is the PR 4 invariant — the differ must find no divergence
@@ -325,4 +429,80 @@ TEST(Snapshot, CmpRejectsFootprintBeyondSaltStride)
     Cmp solo(makePreset("inorder"), one);
     CmpResult r = solo.run(10'000);
     EXPECT_TRUE(r.finished);
+}
+
+/**
+ * Golden bytes: the exact snapshot encoding is pinned, not just its
+ * round trip. A field reordered symmetrically in both directions of a
+ * component's serialization still round-trips; it changes these hashes.
+ * Any change here is a format change and needs a formatVersion bump.
+ */
+TEST(Snapshot, GoldenBytes)
+{
+    constexpr Cycle snapAt = 4096;
+    auto machineHash = [&](const MachineConfig &mc,
+                           const Program &program) {
+        Machine m(mc, program);
+        m.stepTo(snapAt);
+        return fnv(m.snapshot());
+    };
+
+    for (const auto &wl : kWorkloads) {
+        Program program = workloadProgram(wl);
+        for (const auto &preset : kAllPresets) {
+            std::uint64_t want = 0;
+            for (const GoldenSnap &g : kGoldenSnaps)
+                if (preset == g.preset && wl == g.workload)
+                    want = g.fnv;
+            std::uint64_t got = machineHash(makePreset(preset), program);
+            EXPECT_EQ(got, want) << preset << " / " << wl << " 0x"
+                                 << std::hex << got;
+        }
+    }
+
+    // Value prediction and per-strand history add SST state.
+    {
+        MachineConfig mc = makePreset("sst2");
+        mc.core.valuePred = "stride";
+        mc.core.strandHistory = true;
+        std::uint64_t got =
+            machineHash(mc, workloadProgram("list_walk"));
+        EXPECT_EQ(got, kGoldenValuePred) << "vp 0x" << std::hex << got;
+    }
+
+    // The coherent rock16 chip with lock elision: directory, per-core
+    // coherence side tables and SLE state.
+    {
+        WorkloadParams wp;
+        wp.lengthScale = 0.1;
+        MachineConfig mc = makePreset("rock16");
+        mc.core.elideLocks = true;
+        std::vector<Workload> w =
+            makeSharedWorkload("spinlock_counter", mc.cmpCores, wp);
+        std::vector<const Program *> programs;
+        for (const Workload &x : w)
+            programs.push_back(&x.program);
+        Cmp cmp(mc, programs);
+        (void)cmp.run(snapAt);
+        std::uint64_t got = fnv(cmp.snapshot());
+        EXPECT_EQ(got, kGoldenCmp) << "cmp 0x" << std::hex << got;
+    }
+
+    // One profile-library member: the header, cursor, warm hierarchy
+    // and image of the first selected region.
+    {
+        MachineConfig mc = makePreset("sst2");
+        ProfileParams pp;
+        pp.regionInsts = 5000;
+        pp.maxRegions = 2;
+        ProfileLibrary lib = buildProfileLibrary(
+            mc, workloadProgram("hash_join"), pp, 0x1234);
+        const ProfileRegion *first = nullptr;
+        for (const ProfileRegion &r : lib.regions)
+            if (r.selected && !first)
+                first = &r;
+        ASSERT_NE(first, nullptr);
+        std::uint64_t got = fnv(first->member);
+        EXPECT_EQ(got, kGoldenMember) << "member 0x" << std::hex << got;
+    }
 }

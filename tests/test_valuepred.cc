@@ -158,15 +158,15 @@ TEST(ValuePredictor, SaveLoadRoundTripPreservesChainState)
     ASSERT_TRUE(p.predict(200, v)); // leaves an open chain
 
     snap::Writer w;
-    p.save(w);
+    snap::save(w, p);
 
     ValuePredictor q(ValuePredKind::Stride);
     snap::Reader r(w.data());
-    q.load(r);
+    q.io(r);
     r.done();
 
     snap::Writer w2;
-    q.save(w2);
+    snap::save(w2, q);
     EXPECT_EQ(w.data(), w2.data()) << "round trip not byte-identical";
 
     std::uint64_t a = 0, b = 0;
