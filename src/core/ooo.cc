@@ -1,14 +1,36 @@
 #include "core/ooo.hh"
 
+#include <algorithm>
+#include <bit>
+
 #include "common/logging.hh"
 #include "snap/snap.hh"
 
 namespace sst
 {
 
+namespace
+{
+
+/** No flip limit: the issue walk reached the youngest entry. */
+constexpr SeqNum kNoFlipLimit = ~SeqNum{0};
+
+bool
+usesDivider(Opcode op)
+{
+    OpClass cls = opInfo(op).cls;
+    return cls == OpClass::IntDiv || cls == OpClass::FpDiv;
+}
+
+} // namespace
+
 OoOCore::OoOCore(const CoreParams &params, const Program &program,
                  MemoryImage &memory, CorePort &port)
     : Core(params, program, memory, port),
+      rob_(params.robEntries),
+      sched_(rob_.capacity()),
+      ready_((rob_.capacity() + 63) / 64),
+      stores_(params.robEntries),
       exec_(program, memory),
       robFullCycles_(stats_.addScalar("rob_full_cycles",
                                       "dispatch stalls on full ROB")),
@@ -44,51 +66,67 @@ OoOCore::idleAdvance(Cycle n)
     Core::idleAdvance(n);
 }
 
-OoOCore::RobEntry *
-OoOCore::entryFor(SeqNum seq)
+void
+OoOCore::linkProducer(std::size_t slot, unsigned operand, SeqNum seq)
 {
-    if (rob_.empty() || seq < rob_.front().seq
-        || seq > rob_.back().seq)
-        return nullptr;
-    return &rob_[seq - rob_.front().seq];
+    if (seq == 0 || !inWindow(seq))
+        return; // value already committed
+    Sched &prod = sched_[slotOf(seq)];
+    Sched &sc = sched_[slot];
+    if (prod.done == invalidCycle) {
+        sc.next[operand] = prod.consumers;
+        prod.consumers = static_cast<std::uint32_t>(slot * 2 + operand);
+        ++sc.pending;
+    } else {
+        sc.readyAt = std::max(sc.readyAt, prod.done);
+    }
 }
 
-bool
-OoOCore::producerIssued(SeqNum seq, Cycle &readyAt)
+void
+OoOCore::wire(std::size_t slot)
 {
-    if (seq == 0)
-        return true;
-    RobEntry *prod = entryFor(seq);
-    if (!prod)
-        return true; // already committed
-    if (prod->state == State::Waiting)
-        return false;
-    readyAt = std::max(readyAt, prod->doneCycle);
-    return true;
+    const RobEntry &e = rob_.atSlot(slot);
+    linkProducer(slot, 0, e.src1Producer);
+    linkProducer(slot, 1, e.src2Producer);
+    if (sched_[slot].pending == 0)
+        markReady(slot);
 }
 
-OoOCore::RobEntry *
+void
+OoOCore::wakeConsumers(std::size_t slot, Cycle done)
+{
+    Sched &prod = sched_[slot];
+    prod.done = done;
+    for (std::uint32_t link = prod.consumers; link != kNoLink;
+         link = sched_[link / 2].next[link % 2]) {
+        Sched &sc = sched_[link / 2];
+        sc.readyAt = std::max(sc.readyAt, done);
+        if (--sc.pending == 0)
+            markReady(link / 2);
+    }
+    prod.consumers = kNoLink;
+}
+
+const OoOCore::StoreRef *
 OoOCore::olderStoreFor(const RobEntry &load)
 {
-    RobEntry *best = nullptr;
-    for (auto &e : rob_) {
-        if (e.seq >= load.seq)
-            break;
-        if (!e.isSt)
-            continue;
-        Addr lo = std::max(e.step.effAddr, load.step.effAddr);
-        Addr hi = std::min(e.step.effAddr + e.step.memSize,
-                           load.step.effAddr + load.step.memSize);
-        if (lo < hi)
-            best = &e; // youngest older overlapping store wins
+    Addr lo = load.step.effAddr;
+    Addr hi = load.step.effAddr + load.step.memSize;
+    for (std::size_t age = stores_.size(); age-- > 0;) {
+        const StoreRef &st = stores_[age];
+        if (st.seq > load.seq)
+            continue; // younger than the load
+        if (std::max(st.lo, lo) < std::min(st.hi, hi))
+            return &st; // youngest older overlapping store wins
     }
-    return best;
+    return nullptr;
 }
 
 void
 OoOCore::commitStage()
 {
     unsigned width = params_.fetchWidth;
+    unsigned memRetired = 0;
     if (rob_.empty())
         block(trace::CpiCat::Fetch);
     while (width-- > 0 && !rob_.empty()) {
@@ -110,7 +148,10 @@ OoOCore::commitStage()
                 break;
             }
             ++storesExecuted_;
+            stores_.pop();
         }
+        if (head.isLd || head.isSt)
+            ++memRetired;
         if (head.inst.op == Opcode::HALT)
             arch_.halted = true;
         if (lastProducer_[head.inst.rd] == head.seq)
@@ -118,86 +159,127 @@ OoOCore::commitStage()
         ++committed_;
         record(trace::TraceKind::Commit, trace::TraceStrand::Main,
                head.pc, head.seq);
-        rob_.pop_front();
+        rob_.pop();
+        // The HALT cycle leaves the LSQ count unchanged, and snapshots
+        // taken after HALT hold that count (docs/INTERNALS.md).
         if (arch_.halted)
             return;
     }
+    lsqOccupancy_ -= memRetired;
+}
+
+bool
+OoOCore::tryIssue(std::size_t slot)
+{
+    // Earliest issue cycle: MSHR backoff, operands, the divider.
+    Sched &sc = sched_[slot];
+    Cycle readyAt = sc.readyAt;
+    if (sc.div)
+        readyAt = std::max(readyAt, divBusyUntil_);
+    if (readyAt > now_) {
+        wakeBy(readyAt);
+        return false;
+    }
+
+    RobEntry &e = rob_.atSlot(slot);
+    if (e.isLd) {
+        if (const StoreRef *st = olderStoreFor(e)) {
+            Cycle stored = sched_[st->slot].done;
+            if (stored == invalidCycle)
+                return false; // forwards once the store issues
+            // Forward from the in-flight store.
+            e.doneCycle = std::max(now_, stored) + 1;
+        } else {
+            auto res = port_.access(AccessType::Load, e.step.effAddr, now_);
+            if (res.rejected) {
+                e.retryAt = res.retryCycle;
+                sc.readyAt = std::max(sc.readyAt, e.retryAt);
+                wakeBy(e.retryAt);
+                return false;
+            }
+            e.doneCycle = res.readyCycle;
+            ++loadsExecuted_;
+        }
+    } else if (e.isSt) {
+        e.doneCycle = now_ + 1; // address+data captured
+    } else {
+        e.doneCycle = now_ + opInfo(e.inst.op).latency;
+        if (sc.div)
+            divBusyUntil_ = e.doneCycle;
+    }
+
+    e.state = State::Issued;
+    clearReady(slot);
+    --iqOccupancy_;
+    inFlight_.push_back({e.seq, e.doneCycle});
+    wakeConsumers(slot, e.doneCycle);
+
+    // A mispredicted control instruction redirects fetch when it
+    // resolves.
+    if (e.mispredicted && redirectBlockedOn_ == e.seq) {
+        frontEndReadyAt_ = std::max(frontEndReadyAt_,
+                                    e.doneCycle + params_.pipelineDepth);
+        redirectBlockedOn_ = 0;
+    }
+    return true;
+}
+
+void
+OoOCore::flipDone(std::size_t settled, SeqNum limit)
+{
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < inFlight_.size(); ++i) {
+        InFlight f = inFlight_[i];
+        if (i < settled) {
+            if (!inWindow(f.seq))
+                continue; // committed before its flip
+            if (f.doneCycle <= now_ && f.seq < limit) {
+                rob_.atSlot(slotOf(f.seq)).state = State::Done;
+                continue;
+            }
+        }
+        inFlight_[kept++] = f;
+    }
+    inFlight_.resize(kept);
 }
 
 unsigned
 OoOCore::issueStage()
 {
+    // Visit the ready set oldest first: slots [head, capacity), then the
+    // wrapped [0, head). A wakeup marks only younger slots, which the
+    // walk has yet to reach, so each word is re-read after a visit.
+    std::size_t settled = inFlight_.size();
     unsigned slots = params_.issueWidth;
-    unsigned issued = 0;
-    for (auto &e : rob_) {
-        if (slots == 0)
-            break;
-        if (e.state == State::Issued && e.doneCycle <= now_)
-            e.state = State::Done;
-        if (e.state != State::Waiting)
-            continue;
-
-        // Earliest issue cycle: MSHR backoff, operands, the divider. An
-        // entry whose producer has not issued yet wakes through that
-        // producer's own record.
-        Cycle readyAt = e.retryAt;
-        if (!producerIssued(e.src1Producer, readyAt)
-            || !producerIssued(e.src2Producer, readyAt))
-            continue;
-        const OpInfo &info = opInfo(e.inst.op);
-        if (info.cls == OpClass::IntDiv || info.cls == OpClass::FpDiv)
-            readyAt = std::max(readyAt, divBusyUntil_);
-        if (readyAt > now_) {
-            wakeBy(readyAt);
-            continue;
-        }
-
-        if (e.isLd) {
-            if (RobEntry *st = olderStoreFor(e)) {
-                if (st->state == State::Waiting)
-                    continue; // forwards once the store issues
-                // Forward from the in-flight store.
-                e.doneCycle = std::max(now_, st->doneCycle) + 1;
-            } else {
-                auto res = port_.access(AccessType::Load,
-                                        e.step.effAddr, now_);
-                if (res.rejected) {
-                    e.retryAt = res.retryCycle;
-                    wakeBy(e.retryAt);
-                    continue;
+    SeqNum lastIssued = 0;
+    const std::size_t head = rob_.head();
+    for (int pass = 0; pass < 2 && slots > 0; ++pass) {
+        std::size_t from = pass == 0 ? head : 0;
+        std::size_t to = pass == 0 ? rob_.capacity() : head;
+        for (std::size_t w = from / 64; w * 64 < to && slots > 0; ++w) {
+            std::uint64_t after = ~std::uint64_t{0};
+            if (w == from / 64)
+                after <<= from % 64;
+            while (slots > 0) {
+                std::uint64_t bits = ready_[w] & after;
+                if (bits == 0)
+                    break;
+                std::size_t slot = w * 64 + std::countr_zero(bits);
+                if (slot >= to)
+                    break;
+                after = (~std::uint64_t{0} << (slot % 64)) << 1;
+                if (tryIssue(slot)) {
+                    --slots;
+                    lastIssued = rob_.atSlot(slot).seq;
                 }
-                e.doneCycle = res.readyCycle;
-                ++loadsExecuted_;
             }
-        } else if (e.isSt) {
-            e.doneCycle = now_ + 1; // address+data captured
-        } else {
-            e.doneCycle = now_ + info.latency;
-            if (info.cls == OpClass::IntDiv || info.cls == OpClass::FpDiv)
-                divBusyUntil_ = e.doneCycle;
-        }
-
-        e.state = State::Issued;
-        --slots;
-        ++issued;
-        --iqOccupancy_;
-
-        // A mispredicted control instruction redirects fetch when it
-        // resolves.
-        if (e.mispredicted && redirectBlockedOn_ == e.seq) {
-            frontEndReadyAt_ =
-                std::max(frontEndReadyAt_,
-                         e.doneCycle + params_.pipelineDepth);
-            redirectBlockedOn_ = 0;
         }
     }
 
-    // LSQ entries free at commit; model occupancy from ROB contents.
-    lsqOccupancy_ = 0;
-    for (auto &e : rob_)
-        if (e.isLd || e.isSt)
-            ++lsqOccupancy_;
-    return issued;
+    // Flips stop at the entry that took the last issue slot: where they
+    // stop is part of the snapshot bytes (docs/INTERNALS.md).
+    flipDone(settled, slots > 0 ? kNoFlipLimit : lastIssued);
+    return params_.issueWidth - slots;
 }
 
 unsigned
@@ -236,7 +318,8 @@ OoOCore::dispatchStage()
             return dispatched;
         }
 
-        RobEntry e;
+        std::size_t at = rob_.push();
+        RobEntry &e = rob_.atSlot(at);
         e.seq = nextSeq_++;
         e.pc = pc;
         e.inst = inst;
@@ -262,6 +345,13 @@ OoOCore::dispatchStage()
         if (e.isLd || e.isSt)
             ++lsqOccupancy_;
 
+        sched_[at] = Sched{};
+        sched_[at].div = usesDivider(inst.op);
+        wire(at);
+        if (e.isSt)
+            stores_.push({e.seq, e.step.effAddr,
+                          e.step.effAddr + e.step.memSize, at});
+
         bool isCtrl = isControl(inst.op);
         if (isCtrl) {
             bool correct =
@@ -271,12 +361,11 @@ OoOCore::dispatchStage()
                 redirectBlockedOn_ = e.seq;
             }
         }
-        rob_.push_back(std::move(e));
         ++dispatched;
 
         if (fetchHalted_ || redirectBlockedOn_ != 0)
             return dispatched;
-        if (isCtrl && rob_.back().step.taken) {
+        if (isCtrl && e.step.taken) {
             // Taken-branch fetch bubble ends the dispatch group.
             frontEndReadyAt_ = now_ + 1;
             return dispatched;
@@ -285,6 +374,46 @@ OoOCore::dispatchStage()
     return dispatched;
 }
 
+void
+OoOCore::rebuildSchedule()
+{
+    // Slots are found by seq offset from the head, so the window's
+    // seqs must be consecutive and end just before nextSeq_.
+    for (std::size_t age = 0; age < rob_.size(); ++age) {
+        SeqNum want = rob_.front().seq + age;
+        fatal_if(rob_[age].seq != want,
+                 "snapshot: ROB entry %zu has seq %llu, expected %llu",
+                 age, static_cast<unsigned long long>(rob_[age].seq),
+                 static_cast<unsigned long long>(want));
+    }
+    fatal_if(!rob_.empty() && nextSeq_ != rob_.back().seq + 1,
+             "snapshot: next seq %llu does not follow the ROB",
+             static_cast<unsigned long long>(nextSeq_));
+
+    std::fill(ready_.begin(), ready_.end(), 0);
+    inFlight_.clear();
+    stores_.clear();
+    for (std::size_t age = 0; age < rob_.size(); ++age) {
+        std::size_t slot = rob_.slot(age);
+        const RobEntry &e = rob_.atSlot(slot);
+        sched_[slot] = Sched{};
+        sched_[slot].readyAt = e.retryAt;
+        if (e.state != State::Waiting)
+            sched_[slot].done = e.doneCycle;
+        sched_[slot].div = usesDivider(e.inst.op);
+        if (e.state == State::Issued)
+            inFlight_.push_back({e.seq, e.doneCycle});
+        if (e.isSt)
+            stores_.push({e.seq, e.step.effAddr,
+                          e.step.effAddr + e.step.memSize, slot});
+    }
+    // Link only once every slot is reset: a producer may sit anywhere.
+    for (std::size_t age = 0; age < rob_.size(); ++age) {
+        std::size_t slot = rob_.slot(age);
+        if (rob_.atSlot(slot).state == State::Waiting)
+            wire(slot);
+    }
+}
 
 template <class Io>
 void
@@ -304,7 +433,7 @@ OoOCore::state(Io &s)
         s.b(e.isLd);
         s.b(e.isSt);
         s.b(e.mispredicted);
-    });
+    }, params_.robEntries);
     for (SeqNum &p : lastProducer_)
         s.u64(p);
     s.u64(nextSeq_);
@@ -315,6 +444,8 @@ OoOCore::state(Io &s)
     s.u64(redirectBlockedOn_);
     s.b(fetchHalted_);
     s.b(blocked_.acted);
+    if constexpr (Io::loading)
+        rebuildSchedule();
 }
 
 template void OoOCore::state(snap::Writer &);

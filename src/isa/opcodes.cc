@@ -7,13 +7,10 @@
 namespace sst
 {
 
-namespace
-{
-
 // Table indexed by Opcode. Latencies follow the machine model in
 // DESIGN.md: 1-cycle ALU, 4-cycle pipelined MUL, 20-cycle DIV,
 // 4-cycle FP add/mul, 12-cycle FP divide.
-const OpInfo table[] = {
+const OpInfo opTable[] = {
     //               mnemonic  class             lat r1     r2     rd     imm
     /* ADD      */ {"add",     OpClass::IntAlu,   1, true,  true,  true,  false},
     /* SUB      */ {"sub",     OpClass::IntAlu,   1, true,  true,  true,  false},
@@ -62,68 +59,14 @@ const OpInfo table[] = {
     /* HALT     */ {"halt",    OpClass::Other,    1, false, false, false, false},
 };
 
-static_assert(sizeof(table) / sizeof(table[0])
+static_assert(sizeof(opTable) / sizeof(opTable[0])
                   == static_cast<size_t>(Opcode::NumOpcodes),
               "opcode table out of sync with Opcode enum");
 
-} // namespace
-
-const OpInfo &
-opInfo(Opcode op)
+void
+badOpcode(unsigned idx)
 {
-    auto idx = static_cast<unsigned>(op);
-    panic_if(idx >= static_cast<unsigned>(Opcode::NumOpcodes),
-             "bad opcode %u", idx);
-    return table[idx];
-}
-
-bool
-isLoad(Opcode op)
-{
-    return opInfo(op).cls == OpClass::Load;
-}
-
-bool
-isStore(Opcode op)
-{
-    return opInfo(op).cls == OpClass::Store;
-}
-
-bool
-isMem(Opcode op)
-{
-    return isLoad(op) || isStore(op);
-}
-
-bool
-isAtomic(Opcode op)
-{
-    return op == Opcode::AMOSWAP;
-}
-
-bool
-isCondBranch(Opcode op)
-{
-    return opInfo(op).cls == OpClass::Branch;
-}
-
-bool
-isJump(Opcode op)
-{
-    return opInfo(op).cls == OpClass::Jump;
-}
-
-bool
-isControl(Opcode op)
-{
-    return isCondBranch(op) || isJump(op);
-}
-
-bool
-isLongLatency(Opcode op)
-{
-    OpClass c = opInfo(op).cls;
-    return c == OpClass::IntDiv || c == OpClass::FpDiv;
+    panic("bad opcode %u", idx);
 }
 
 unsigned
@@ -150,7 +93,7 @@ opcodeFromMnemonic(const char *mnemonic)
 {
     for (unsigned i = 0; i < static_cast<unsigned>(Opcode::NumOpcodes);
          ++i) {
-        if (std::strcmp(table[i].mnemonic, mnemonic) == 0)
+        if (std::strcmp(opTable[i].mnemonic, mnemonic) == 0)
             return static_cast<Opcode>(i);
     }
     return Opcode::NumOpcodes;

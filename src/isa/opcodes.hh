@@ -72,20 +72,45 @@ struct OpInfo
     bool hasImm;
 };
 
+/** The decode table, indexed by Opcode (defined in opcodes.cc). */
+extern const OpInfo opTable[static_cast<unsigned>(Opcode::NumOpcodes)];
+
+/** Out-of-line failure path of opInfo(). */
+[[noreturn]] void badOpcode(unsigned idx);
+
+// The decode lookups below run for every instruction every model
+// handles, so they are inline; only the bad-opcode panic is out of line.
+
 /** @return the static properties of @p op (panics on bad opcode). */
-const OpInfo &opInfo(Opcode op);
+inline const OpInfo &
+opInfo(Opcode op)
+{
+    auto idx = static_cast<unsigned>(op);
+    if (idx >= static_cast<unsigned>(Opcode::NumOpcodes)) [[unlikely]]
+        badOpcode(idx);
+    return opTable[idx];
+}
 
 /** Convenience predicates. */
-bool isLoad(Opcode op);
-bool isStore(Opcode op);
-bool isMem(Opcode op);
+inline bool isLoad(Opcode op) { return opInfo(op).cls == OpClass::Load; }
+inline bool isStore(Opcode op) { return opInfo(op).cls == OpClass::Store; }
+inline bool isMem(Opcode op) { return isLoad(op) || isStore(op); }
 /** True for read-modify-write memory ops (currently AMOSWAP). */
-bool isAtomic(Opcode op);
-bool isCondBranch(Opcode op);
-bool isJump(Opcode op);
-bool isControl(Opcode op);
+inline bool isAtomic(Opcode op) { return op == Opcode::AMOSWAP; }
+inline bool
+isCondBranch(Opcode op)
+{
+    return opInfo(op).cls == OpClass::Branch;
+}
+inline bool isJump(Opcode op) { return opInfo(op).cls == OpClass::Jump; }
+inline bool isControl(Opcode op) { return isCondBranch(op) || isJump(op); }
 /** True for ops whose latency makes them SST deferral candidates. */
-bool isLongLatency(Opcode op);
+inline bool
+isLongLatency(Opcode op)
+{
+    OpClass c = opInfo(op).cls;
+    return c == OpClass::IntDiv || c == OpClass::FpDiv;
+}
 
 /** Memory access size in bytes for LD/ST-class ops (panics otherwise). */
 unsigned memAccessSize(Opcode op);

@@ -22,12 +22,11 @@ Program::patch(std::uint64_t pc, const Inst &inst)
     insts_[pc] = inst;
 }
 
-const Inst &
-Program::at(std::uint64_t pc) const
+void
+Program::fetchPastEnd(std::uint64_t pc) const
 {
-    panic_if(pc >= insts_.size(), "fetch past end of program (pc=%llu)",
-             static_cast<unsigned long long>(pc));
-    return insts_[pc];
+    panic("fetch past end of program (pc=%llu)",
+          static_cast<unsigned long long>(pc));
 }
 
 void

@@ -38,7 +38,14 @@ class Program
     /** Replace the instruction at @p pc (used for label back-patching). */
     void patch(std::uint64_t pc, const Inst &inst);
 
-    const Inst &at(std::uint64_t pc) const;
+    /** The instruction at @p pc (panics past the end). Inline: every
+     *  model fetches through it once per instruction. */
+    const Inst &at(std::uint64_t pc) const
+    {
+        if (pc >= insts_.size()) [[unlikely]]
+            fetchPastEnd(pc);
+        return insts_[pc];
+    }
     std::uint64_t size() const { return insts_.size(); }
     bool empty() const { return insts_.empty(); }
     const std::vector<Inst> &insts() const { return insts_; }
@@ -74,6 +81,8 @@ class Program
     std::string listing() const;
 
   private:
+    [[noreturn]] void fetchPastEnd(std::uint64_t pc) const;
+
     std::string name_ = "anonymous";
     std::vector<Inst> insts_;
     std::vector<Segment> segments_;

@@ -1,6 +1,7 @@
 #include "sim/presets.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "branch/predictor.hh"
 #include "branch/valuepred.hh"
@@ -153,6 +154,15 @@ applyOverrides(MachineConfig &config, const Config &overrides)
         overrides.getUint("core.lsq_entries", c.lsqEntries));
     c.issueWidth = static_cast<unsigned>(
         overrides.getUint("core.issue_width", c.issueWidth));
+    // A zero-sized window or width can never make progress: the run
+    // would spin until the livelock watchdog gives up.
+    for (auto [key, value] :
+         {std::pair{"core.fetch_width", c.fetchWidth},
+          std::pair{"core.rob_entries", c.robEntries},
+          std::pair{"core.iq_entries", c.issueQueueEntries},
+          std::pair{"core.lsq_entries", c.lsqEntries},
+          std::pair{"core.issue_width", c.issueWidth}})
+        fatal_if(value == 0, "%s must be at least 1", key);
     c.checkpoints = static_cast<unsigned>(
         overrides.getUint("core.checkpoints", c.checkpoints));
     c.dqEntries = static_cast<unsigned>(

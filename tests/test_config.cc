@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "common/config.hh"
+#include "common/result.hh"
+#include "sim/presets.hh"
 
 using namespace sst;
 
@@ -180,4 +182,24 @@ TEST(EditDistance, ClosestMatch)
     EXPECT_EQ(closestMatch("falt.seed", keys), "fault.seed");
     EXPECT_EQ(closestMatch("zzzzzzzzzzzzzzzz", keys), "");
     EXPECT_EQ(closestMatch("anything", {}), "");
+}
+
+TEST(ConfigResult, ZeroSizedWindowsAreRejected)
+{
+    for (const char *key : {"core.rob_entries", "core.iq_entries",
+                            "core.lsq_entries", "core.issue_width",
+                            "core.fetch_width"}) {
+        SCOPED_TRACE(key);
+        Config c;
+        c.set(key, std::uint64_t{0});
+        MachineConfig mc = makePreset("ooo-large");
+        auto r = trapFatal([&] { applyOverrides(mc, c); });
+        ASSERT_FALSE(r.ok());
+        EXPECT_EQ(r.error().exitCode, exit_code::badInput);
+        EXPECT_NE(r.error().message.find(key), std::string::npos)
+            << r.error().message;
+
+        c.set(key, std::uint64_t{1});
+        EXPECT_TRUE(trapFatal([&] { applyOverrides(mc, c); }).ok());
+    }
 }

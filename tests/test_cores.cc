@@ -248,6 +248,106 @@ TEST(OoO, StoreToLoadForwarding)
     EXPECT_EQ(r.core->archState().reg(4), 1235u);
 }
 
+namespace
+{
+
+/** Loads that went to the cache (forwarded loads skip it). */
+double
+cacheLoads(CoreRun &r)
+{
+    return r.core->stats().flatten().at("core.loads");
+}
+
+} // namespace
+
+// The forwarding cases below pin timing, not just values: the value a
+// load returns comes from the functional executor whatever the timing
+// model does, so only the cycle count and the loads stat see which
+// store (if any) the load forwarded from.
+
+TEST(OoO, ForwardsFromYoungestOlderStore)
+{
+    // Two older stores overlap the load: an 8-byte store ready at once
+    // and a younger 4-byte store whose data waits on a multiply chain.
+    // The younger one must win, so the load and the multiply chain
+    // behind it wait for the first chain; forwarding from the older
+    // store finishes sooner. HALT sits in the first I-cache line and
+    // the first load warms the data line, so the chains show in the
+    // cycle count.
+    std::string src = R"(
+        li x1, 0x500000
+        li x9, 12
+        ld x11, 0(x1)
+        j warm
+    done:
+        halt
+    warm:
+        addi x7, x11, 3
+    loop:
+        li x6, 1000
+        li x2, 0x5566
+        mul x8, x6, x7
+        mul x8, x8, x7
+        mul x8, x8, x7
+        st x2, 0(x1)
+        sw x8, 4(x1)
+        ld x3, 0(x1)
+)";
+    for (int i = 0; i < 10; ++i)
+        src += "mul x3, x3, x7\n";
+    src += "add x10, x10, x3\naddi x9, x9, -1\nbne x9, x0, loop\n"
+           "j done\n";
+    CoreRun r = makeRun("ooo", src);
+    Cycle cycles = r.run();
+    EXPECT_TRUE(r.archMatchesGolden());
+    EXPECT_EQ(cacheLoads(r), 1); // the warming load
+    EXPECT_EQ(cycles, 1091u);
+}
+
+TEST(OoO, IgnoresYoungerStore)
+{
+    // The first load is older than the overlapping store and must read
+    // the cache; the second forwards from that store.
+    const char *src = R"(
+        li x1, 0x500000
+        li x2, 77
+        ld x3, 0(x1)
+        st x2, 0(x1)
+        ld x4, 0(x1)
+        halt
+    )";
+    CoreRun r = makeRun("ooo", src);
+    Cycle cycles = r.run();
+    EXPECT_TRUE(r.archMatchesGolden());
+    EXPECT_EQ(r.core->archState().reg(3), 0u);
+    EXPECT_EQ(r.core->archState().reg(4), 77u);
+    EXPECT_EQ(cacheLoads(r), 1);
+    EXPECT_EQ(cycles, 720u);
+}
+
+TEST(OoO, WaitingStoreHoldsLoad)
+{
+    // The store's data comes from a 20-cycle divide, so the store waits
+    // to issue; the overlapping byte load behind it must wait with it
+    // rather than read the cache.
+    const char *src = R"(
+        li x1, 0x500000
+        li x6, 700
+        li x7, 7
+        div x8, x6, x7
+        sb x8, 3(x1)
+        lb x3, 3(x1)
+        addi x4, x3, 1
+        halt
+    )";
+    CoreRun r = makeRun("ooo", src);
+    Cycle cycles = r.run();
+    EXPECT_TRUE(r.archMatchesGolden());
+    EXPECT_EQ(r.core->archState().reg(4), 101u);
+    EXPECT_EQ(cacheLoads(r), 0);
+    EXPECT_EQ(cycles, 385u);
+}
+
 TEST(OoO, MissKernelMatchesGolden)
 {
     CoreRun r = makeRun("ooo", missKernelWithRing());

@@ -125,6 +125,38 @@ constexpr std::uint64_t kGoldenValuePred = 0xf461a500c40e7b1ULL;
 constexpr std::uint64_t kGoldenCmp = 0x2da2438769b2aee3ULL;
 constexpr std::uint64_t kGoldenMember = 0x6298bc2a64131e38ULL;
 
+/** ooo-large with an odd window shape: a 100-entry ROB (not a power of
+ *  two), a 20-entry issue queue, a 12-entry LSQ and 2-wide issue, so
+ *  the snapshot pins ROB wrap-around and full-queue stalls. */
+MachineConfig
+oddWindowOoO()
+{
+    MachineConfig mc = makePreset("ooo-large");
+    mc.core.robEntries = 100;
+    mc.core.issueQueueEntries = 20;
+    mc.core.lsqEntries = 12;
+    mc.core.issueWidth = 2;
+    return mc;
+}
+
+const GoldenSnap kGoldenOddWindow[] = {
+    {"ooo-large", "pointer_chase", 0x0f685c706b8cdf45ULL},
+    {"ooo-large", "oltp_mix", 0x1c0bf322f6a408d4ULL},
+    {"ooo-large", "hash_join", 0x165ecad906a3d819ULL},
+};
+
+/** Offset of the OoO core's ROB count: the u32 right after the
+ *  "core-extra" tag of the first core. */
+std::size_t
+robCountAt(const std::vector<std::uint8_t> &image)
+{
+    const std::string tag = "core-extra";
+    auto it = std::search(image.begin(), image.end(), tag.begin(),
+                          tag.end());
+    EXPECT_NE(it, image.end());
+    return static_cast<std::size_t>(it - image.begin()) + tag.size();
+}
+
 } // namespace
 
 /**
@@ -304,6 +336,61 @@ TEST(Snapshot, CorruptCountFailsCleanly)
         << res.error().message;
 }
 
+/** A ROB count beyond core.rob_entries (a corrupt count, or a file
+ *  saved by a larger window) fails the restore cleanly instead of
+ *  overrunning the fixed-capacity ROB. */
+TEST(Snapshot, RobCountBeyondWindowFailsCleanly)
+{
+    Program program = workloadProgram("pointer_chase");
+    MachineConfig mc = makePreset("ooo-large");
+    Machine src(mc, program);
+    src.stepTo(4096);
+    std::vector<std::uint8_t> image = src.snapshot();
+    std::size_t at = robCountAt(image);
+    ASSERT_LE(at + 4, image.size());
+    std::uint32_t count = mc.core.robEntries + 1;
+    for (int i = 0; i < 4; ++i)
+        image[at + i] = static_cast<std::uint8_t>(count >> (8 * i));
+
+    const std::string path = tmpPath("rob_count");
+    ASSERT_TRUE(snap::writeFile(path, image).ok());
+    Machine dst(mc, program);
+    auto res = dst.restoreFromFile(path);
+    std::remove(path.c_str());
+    ASSERT_FALSE(res.ok());
+    EXPECT_EQ(res.error().exitCode, exit_code::badInput);
+    EXPECT_NE(res.error().message.find("exceeds the limit 128"),
+              std::string::npos)
+        << res.error().message;
+}
+
+/** ooo-huge's 512-slot ROB ring, restored at three points (at the
+ *  last, 216 entries from seq 344 on have wrapped the source's ring):
+ *  the restored machine re-saves to the same bytes (the scheduling
+ *  state, wakeup lists and store index are rebuilt, never stored) and
+ *  finishes exactly like the uninterrupted run. */
+TEST(Snapshot, OoOHugeRestoreMidRunFinishesIdentically)
+{
+    Program program = workloadProgram("pointer_chase");
+    Machine base(makePreset("ooo-huge"), program);
+    RunResult want = base.run();
+
+    for (Cycle snapAt : {Cycle{1500}, Cycle{9000}, Cycle{25000}}) {
+        SCOPED_TRACE(snapAt);
+        Machine src(makePreset("ooo-huge"), program);
+        src.stepTo(snapAt);
+        std::vector<std::uint8_t> image = src.snapshot();
+
+        Machine dst(makePreset("ooo-huge"), program);
+        dst.restore(image);
+        EXPECT_EQ(dst.snapshot(), image);
+        RunResult got = dst.run();
+        EXPECT_EQ(want.cycles, got.cycles);
+        EXPECT_EQ(want.insts, got.insts);
+        expectStatsEqual(want.stats, got.stats);
+    }
+}
+
 /**
  * Differ self-check: fast-forward on vs off over the same preset and
  * workload is the PR 4 invariant — the differ must find no divergence
@@ -458,6 +545,13 @@ TEST(Snapshot, GoldenBytes)
             EXPECT_EQ(got, want) << preset << " / " << wl << " 0x"
                                  << std::hex << got;
         }
+    }
+
+    for (const GoldenSnap &g : kGoldenOddWindow) {
+        std::uint64_t got =
+            machineHash(oddWindowOoO(), workloadProgram(g.workload));
+        EXPECT_EQ(got, g.fnv) << "odd window / " << g.workload << " 0x"
+                              << std::hex << got;
     }
 
     // Value prediction and per-strand history add SST state.
