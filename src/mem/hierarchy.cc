@@ -77,7 +77,7 @@ CorePort::dataAccess(AccessType type, Addr addr, Cycle now)
     if (hit.hit) {
         res.readyCycle = std::max(hit.readyCycle, xlat.readyCycle);
         if (coherent && isStore
-            && ownedStoreLines_.count(line) == 0) {
+            && !ownedStoreLines_.contains(line)) {
             // A store hit may still owe the directory an upgrade (the
             // line can be shared) or an intervention/invalidate (a
             // remote owner the L1 doesn't know about can't exist — the
@@ -116,7 +116,7 @@ CorePort::dataAccess(AccessType type, Addr addr, Cycle now)
         mshrs_.noteMerge();
         res.readyCycle = std::max(pending, xlat.readyCycle);
         if (coherent && isStore
-            && ownedStoreLines_.count(line) == 0) {
+            && !ownedStoreLines_.contains(line)) {
             // A store merging into a load's fill still needs ownership.
             ordered(now);
             CohAction act =
@@ -487,28 +487,26 @@ MemorySystem::flushAll()
 namespace
 {
 
-/** An unordered line set, emitted sorted so equal sets encode to equal
- *  bytes. */
+/** A line set, emitted sorted so equal sets encode to equal bytes. */
 template <class Io>
 void
-lineSet(Io &s, std::unordered_set<Addr> &set)
+lineSet(Io &s, LineSet &set)
 {
     if constexpr (Io::loading) {
         // These sets scale with the workload footprint (one entry per
-        // touched line); reserving up front avoids incremental
-        // rehashing, which dominated warm-window restore on
-        // large-footprint members.
+        // touched line); sizing the array up front avoids regrowing it
+        // while a large-footprint member restores.
         set.clear();
         std::size_t n = s.count(snap::Width::u64, 0, 8);
         set.reserve(n);
         for (std::size_t i = 0; i < n; ++i) {
             Addr line = 0;
             s.u64(line);
+            fatal_if(line == invalidAddr, "snapshot: bad line-set entry");
             set.insert(line);
         }
     } else {
-        std::vector<Addr> lines(set.begin(), set.end());
-        std::sort(lines.begin(), lines.end());
+        std::vector<Addr> lines = set.sorted();
         s.count(snap::Width::u64, lines.size(), 8);
         for (Addr line : lines)
             s.u64(line);

@@ -14,7 +14,6 @@
 #define SSTSIM_MEM_HIERARCHY_HH
 
 #include <memory>
-#include <unordered_set>
 #include <vector>
 
 #include "coh/coh.hh"
@@ -24,6 +23,7 @@
 #include "fault/fault.hh"
 #include "mem/cache.hh"
 #include "mem/dram.hh"
+#include "mem/lineset.hh"
 #include "mem/mshr.hh"
 #include "mem/prefetcher.hh"
 #include "mem/req.hh"
@@ -175,18 +175,18 @@ class CorePort
     Prefetcher dataPf_;
     Prefetcher instPf_;
     /** Lines brought in by prefetch and not yet demanded. */
-    std::unordered_set<Addr> prefetchedLines_;
+    LineSet prefetchedLines_;
     CohClient *cohClient_ = nullptr;
     /** Lines lost to remote writes; cleared on the next local access
      *  (which reports coh=true so the stall lands in the coherence
      *  CPI bucket). */
-    std::unordered_set<Addr> cohInvalidatedLines_;
+    LineSet cohInvalidatedLines_;
     /** Lines this core exclusively owns after storing to them (a
      *  conservative mirror of the directory's owner records, kept so
      *  the hot private-store path never touches shared state). Part of
      *  the serialized port state: resumed runs must skip exactly the
      *  same directory lookups as uninterrupted ones. */
-    std::unordered_set<Addr> ownedStoreLines_;
+    LineSet ownedStoreLines_;
     /** Installed by MemorySystem::beginEngineRun during parallel CMP
      *  runs; null otherwise. */
     const TickGate *gate_ = nullptr;

@@ -23,10 +23,19 @@ MshrFile::MshrFile(const std::string &name, unsigned entries,
 }
 
 void
-MshrFile::expire(Cycle now)
+MshrFile::expireDue(Cycle now)
 {
     std::erase_if(entries_,
                   [now](const Entry &e) { return e.completion <= now; });
+    resetHorizon();
+}
+
+void
+MshrFile::resetHorizon()
+{
+    horizon_ = invalidCycle;
+    for (const auto &e : entries_)
+        horizon_ = std::min(horizon_, e.completion);
 }
 
 Cycle
@@ -45,15 +54,6 @@ MshrFile::full(Cycle now)
     return entries_.size() >= capacity_;
 }
 
-Cycle
-MshrFile::earliestFree() const
-{
-    Cycle best = invalidCycle;
-    for (const auto &e : entries_)
-        best = std::min(best, e.completion);
-    return best;
-}
-
 void
 MshrFile::allocate(Addr lineAddr, Cycle completion, bool isDemand,
                    Cycle now)
@@ -62,6 +62,7 @@ MshrFile::allocate(Addr lineAddr, Cycle completion, bool isDemand,
     if (isDemand)
         mlp_.sample(outstandingDemand(now) + 1);
     entries_.push_back(Entry{lineAddr, completion, isDemand});
+    horizon_ = std::min(horizon_, completion);
     ++allocations_;
 }
 
@@ -79,6 +80,7 @@ void
 MshrFile::reset()
 {
     entries_.clear();
+    horizon_ = invalidCycle;
 }
 
 void
@@ -103,6 +105,8 @@ MshrFile::io(Io &s)
             s.b(e.demand);
         },
         capacity_);
+    if constexpr (Io::loading)
+        resetHorizon();
 }
 
 template void MshrFile::io(snap::Writer &);

@@ -28,8 +28,13 @@ class MshrFile
 
     unsigned capacity() const { return capacity_; }
 
-    /** Drop entries whose fills completed at or before @p now. */
-    void expire(Cycle now);
+    /** Drop entries whose fills completed at or before @p now: a single
+     *  compare until the earliest completion is reached. */
+    void expire(Cycle now)
+    {
+        if (now >= horizon_)
+            expireDue(now);
+    }
 
     /** @return completion cycle of an in-flight fill of @p lineAddr,
      *  or invalidCycle when the line has no pending miss. */
@@ -39,7 +44,7 @@ class MshrFile
     bool full(Cycle now);
 
     /** Earliest cycle at which an entry will free up (full file only). */
-    Cycle earliestFree() const;
+    Cycle earliestFree() const { return horizon_; }
 
     /** Earliest fill completion strictly after @p now, or invalidCycle
      *  when nothing is in flight (wake-cycle probe; entries expire
@@ -91,8 +96,15 @@ class MshrFile
     template <class Io> void io(Io &s);
 
   private:
+    void expireDue(Cycle now);
+    /** Recompute horizon_ from the entries. */
+    void resetHorizon();
+
     unsigned capacity_;
     std::vector<Entry> entries_;
+    /** Earliest completion over entries_ (invalidCycle when empty).
+     *  Derived state: rebuilt on load, never serialized. */
+    Cycle horizon_ = invalidCycle;
 
     StatGroup stats_;
     Scalar &allocations_;

@@ -12,6 +12,7 @@
 
 #include "common/config.hh"
 #include "common/logging.hh"
+#include "exp/threadpool.hh"
 #include "snap/snap.hh"
 
 namespace sst
@@ -100,7 +101,8 @@ memberState(Io &s, ArchState &cursor, MemorySystem &memsys,
 
 /** Serialize one selected region's warm start state. The trailing u64
  *  is an FNV-1a checksum over every preceding byte, so triage can
- *  reject arbitrary corruption without deserializing anything. */
+ *  reject arbitrary corruption without deserializing anything; it is
+ *  written as a zero slot here and filled by sealMember(). */
 std::vector<std::uint8_t>
 serializeMember(const ProfileLibrary &lib, const ProfileRegion &region,
                 ArchState &cursor, MemorySystem &memsys,
@@ -113,9 +115,18 @@ serializeMember(const ProfileLibrary &lib, const ProfileRegion &region,
                         region.startInsts, region.startClock};
     header.io(w);
     memberState(w, cursor, memsys, image);
-    std::uint64_t sum = w.hash();
-    w.u64(sum);
-    return w.data();
+    w.u64(0);
+    return w.take();
+}
+
+/** Fill a serialized member's checksum slot in place. */
+void
+sealMember(std::vector<std::uint8_t> &bytes)
+{
+    std::size_t body = bytes.size() - 8;
+    std::uint64_t sum = snap::fnv1a(bytes.data(), body);
+    for (int i = 0; i < 8; ++i)
+        bytes[body + i] = static_cast<std::uint8_t>(sum >> (8 * i));
 }
 
 bool
@@ -128,6 +139,26 @@ memberChecksumOk(const std::vector<std::uint8_t> &bytes)
     for (int i = 0; i < 8; ++i)
         stored |= static_cast<std::uint64_t>(bytes[body + i]) << (8 * i);
     return snap::fnv1a(bytes.data(), body) == stored;
+}
+
+/** Workers for @p tasks independent member jobs: one per job, up to
+ *  the host's hardware threads. */
+unsigned
+memberWorkers(std::size_t tasks)
+{
+    return static_cast<unsigned>(std::min<std::size_t>(
+        exp::ThreadPool::defaultWorkers(), tasks));
+}
+
+/** Run fn(i) for every i in [0, n) on a pool sized by memberWorkers(). */
+template <class Fn>
+void
+forEachMember(std::size_t n, Fn &&fn)
+{
+    if (n == 0)
+        return;
+    exp::ThreadPool pool(memberWorkers(n));
+    exp::parallelFor(pool, n, fn);
 }
 
 /** L1 distance between two normalized basic-block vectors. */
@@ -502,7 +533,15 @@ buildProfileLibrary(const MachineConfig &config, const Program &program,
 
     // Pass 2: replay with cache warming — runSampled's fast-forward
     // semantics, including the bounded MSHR-retry loop — and serialize
-    // each selected region's start state at its boundary.
+    // each selected region's start state at its boundary. Sealing a
+    // member (hashing its megabytes) runs on the pool while warming
+    // continues. The pool is declared after lib, so a fatal() unwinding
+    // out of this pass joins the sealing tasks before their members are
+    // freed.
+    const auto selected = static_cast<std::size_t>(
+        std::count_if(lib.regions.begin(), lib.regions.end(),
+                      [](const ProfileRegion &r) { return r.selected; }));
+    exp::ThreadPool pool(memberWorkers(selected));
     MemorySystem memsys(config.mem);
     CorePort &port = memsys.addCore();
     MemoryImage image;
@@ -520,6 +559,7 @@ buildProfileLibrary(const MachineConfig &config, const Program &program,
             ProfileRegion &r = lib.regions[next];
             r.startClock = clock;
             r.member = serializeMember(lib, r, cursor, memsys, image);
+            pool.submit([&member = r.member] { sealMember(member); });
             do {
                 ++next;
             } while (next < lib.regions.size()
@@ -550,6 +590,7 @@ buildProfileLibrary(const MachineConfig &config, const Program &program,
     panic_if(next < lib.regions.size(),
              "profile: unreached selected region %llu",
              static_cast<unsigned long long>(lib.regions[next].index));
+    pool.wait();
     return lib;
 }
 
@@ -576,14 +617,22 @@ saveProfileLibrary(const ProfileLibrary &library, const std::string &dir)
     if (ec)
         return Error{"profile cache: cannot create '" + dir
                      + "': " + ec.message()};
-    for (const ProfileRegion &r : library.regions) {
-        if (!r.selected || r.member.empty())
-            continue;
-        auto w = snap::writeFile(dir + "/" + memberFileName(r.index),
-                                 r.member);
+    // Members are written concurrently, each still staged, fsynced and
+    // renamed on its own; the manifest goes last, and only once every
+    // member is in place, so its presence still marks a complete entry.
+    std::vector<const ProfileRegion *> members;
+    for (const ProfileRegion &r : library.regions)
+        if (r.selected && !r.member.empty())
+            members.push_back(&r);
+    std::vector<Result<void>> written(members.size());
+    forEachMember(members.size(), [&](std::size_t i) {
+        written[i] = snap::writeFile(
+            dir + "/" + memberFileName(members[i]->index),
+            members[i]->member);
+    });
+    for (const Result<void> &w : written)
         if (!w.ok())
             return w.error();
-    }
     std::string text = manifestText(library);
     std::vector<std::uint8_t> bytes(text.begin(), text.end());
     return snap::writeFile(dir + "/" + kManifestName, bytes);
@@ -615,31 +664,55 @@ loadProfileLibrary(const std::string &dir, const MachineConfig &config,
         return Error{"profile library at '" + dir
                      + "' was built for a different run identity"};
 
+    // Read every member on this thread (reads on pool threads would
+    // spread the big buffers over per-thread malloc arenas), verify the
+    // checksums in parallel, then triage one member at a time in region
+    // order, so the warnings and the kept set do not depend on which
+    // check finished first.
+    struct Candidate
+    {
+        ProfileRegion *region;
+        std::string path;
+        std::string failure; ///< probe or read error, if any
+        std::vector<std::uint8_t> bytes;
+        bool sumOk = false;
+    };
+    std::vector<Candidate> candidates;
     for (ProfileRegion &r : lib.regions) {
         if (!r.selected)
             continue;
-        std::string path = dir + "/" + memberFileName(r.index);
+        Candidate &c = candidates.emplace_back();
+        c.region = &r;
+        c.path = dir + "/" + memberFileName(r.index);
+        if (auto probe = snap::probeSnapshotFile(c.path); !probe.ok())
+            c.failure = probe.error().message;
+        else if (auto bytes = snap::readFile(c.path); !bytes.ok())
+            c.failure = bytes.error().message;
+        else
+            c.bytes = bytes.take();
+    }
+    forEachMember(candidates.size(), [&](std::size_t i) {
+        Candidate &c = candidates[i];
+        c.sumOk = c.failure.empty() && memberChecksumOk(c.bytes);
+    });
+
+    for (Candidate &c : candidates) {
+        ProfileRegion &r = *c.region;
         auto skip = [&](const std::string &why) {
             warn("profile cache: %s: %s; skipping region %llu",
-                 path.c_str(), why.c_str(),
+                 c.path.c_str(), why.c_str(),
                  static_cast<unsigned long long>(r.index));
             r.member.clear();
         };
-        auto probe = snap::probeSnapshotFile(path);
-        if (!probe.ok()) {
-            skip(probe.error().message);
+        if (!c.failure.empty()) {
+            skip(c.failure);
             continue;
         }
-        auto bytes = snap::readFile(path);
-        if (!bytes.ok()) {
-            skip(bytes.error().message);
-            continue;
-        }
-        if (!memberChecksumOk(bytes.value())) {
+        if (!c.sumOk) {
             skip("checksum mismatch (corrupt member)");
             continue;
         }
-        const auto &data = bytes.value();
+        const auto &data = c.bytes;
         auto header = trapFatal([&] {
             snap::Reader rd(data.data(), data.size() - 8);
             MemberHeader h{config.presetName, config.model,
@@ -653,7 +726,7 @@ loadProfileLibrary(const std::string &dir, const MachineConfig &config,
             skip(header.error().message);
             continue;
         }
-        r.member = bytes.take();
+        r.member = std::move(c.bytes);
     }
     if (lib.usableCount() == 0)
         return Error{"profile library at '" + dir

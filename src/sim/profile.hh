@@ -123,8 +123,10 @@ std::uint64_t profileRegionHint(std::uint64_t approxDynInsts);
  * selection then picks the representatives; pass 2 replays the program
  * with cache warming (runSampled's fast-forward semantics, including
  * the bounded MSHR-retry loop) and serializes each selected region's
- * start state. The program must halt within params.maxInsts (fatal
- * otherwise — wrap in trapFatal on untrusted input).
+ * start state; each member's checksum is computed on a worker thread
+ * while warming continues. The program must halt within
+ * params.maxInsts (fatal otherwise — wrap in trapFatal on untrusted
+ * input).
  */
 ProfileLibrary buildProfileLibrary(const MachineConfig &config,
                                    const Program &program,
@@ -141,11 +143,13 @@ std::string profileCacheDir(const std::string &cacheRoot,
 
 /**
  * Persist @p library into @p dir: one "region-<index>.snap" per
- * selected region (snap::writeFile rename staging, so concurrent
- * populators of one cache entry never tear each other's files), then
- * "library.manifest" last — the manifest's presence marks a complete
- * entry, and byte-identical concurrent writers make last-rename-wins
- * safe.
+ * selected region, written concurrently (snap::writeFile rename
+ * staging, so concurrent populators of one cache entry never tear each
+ * other's files), then "library.manifest" last and only when every
+ * member was written — the manifest's presence marks a complete entry,
+ * and byte-identical concurrent writers make last-rename-wins safe.
+ * On failure the first failing member's error, in region order, is
+ * returned.
  */
 Result<void> saveProfileLibrary(const ProfileLibrary &library,
                                 const std::string &dir);
@@ -153,9 +157,11 @@ Result<void> saveProfileLibrary(const ProfileLibrary &library,
 /**
  * Load a library from @p dir and validate it against the run's
  * identity. A manifest whose preset/model/workload/fingerprint/
- * configHash disagree is rejected outright (Error). Members are then
- * triaged one by one: probeSnapshotFile plus a whole-file checksum
- * and a full header match — a truncated or corrupt member is skipped
+ * configHash disagree is rejected outright (Error). Members are read
+ * in turn, their checksums verified in parallel, and then triaged one
+ * by one in region order: probeSnapshotFile plus the whole-file
+ * checksum and a full header match — a truncated or corrupt member is
+ * skipped
  * with a warning and its region dropped; a member carrying a different
  * program fingerprint is rejected the same way. Zero usable members is
  * an Error (the caller rebuilds).

@@ -6,6 +6,7 @@
 #include <cstring>
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include "common/logging.hh"
@@ -259,14 +260,18 @@ readFile(const std::string &path)
     std::FILE *f = std::fopen(path.c_str(), "rb");
     if (!f)
         return Error{"cannot open snapshot '" + path + "'"};
-    std::fseek(f, 0, SEEK_END);
-    long size = std::ftell(f);
-    if (size < 0) {
+    // Size from fstat, not fseek/ftell: on a directory those report a
+    // bogus huge size and the allocation below would throw.
+    struct stat st;
+    if (::fstat(::fileno(f), &st) != 0) {
         std::fclose(f);
         return Error{"cannot size snapshot '" + path + "'"};
     }
-    std::fseek(f, 0, SEEK_SET);
-    std::vector<std::uint8_t> buf(static_cast<std::size_t>(size));
+    if (!S_ISREG(st.st_mode)) {
+        std::fclose(f);
+        return Error{"snapshot '" + path + "' is not a regular file"};
+    }
+    std::vector<std::uint8_t> buf(static_cast<std::size_t>(st.st_size));
     std::size_t got =
         buf.empty() ? 0 : std::fread(buf.data(), 1, buf.size(), f);
     std::fclose(f);

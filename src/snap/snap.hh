@@ -150,6 +150,9 @@ class Writer
     const std::vector<std::uint8_t> &data() const { return buf_; }
     std::size_t size() const { return buf_.size(); }
 
+    /** Move the encoded bytes out; the writer is spent afterwards. */
+    std::vector<std::uint8_t> take() { return std::move(buf_); }
+
     /** FNV-1a over everything written so far. */
     std::uint64_t hash() const;
 
@@ -379,7 +382,8 @@ program(Io &s, const std::string &name, std::uint64_t fingerprint)
 Result<void> writeFile(const std::string &path,
                        const std::vector<std::uint8_t> &bytes);
 
-/** Read a whole file into memory. */
+/** Read a whole regular file into memory; anything else (a directory,
+ *  a device) is a clean Error. */
 Result<std::vector<std::uint8_t>> readFile(const std::string &path);
 
 /**

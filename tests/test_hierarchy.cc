@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <vector>
+
+#include "common/rng.hh"
 #include "mem/hierarchy.hh"
+#include "mem/lineset.hh"
 
 using namespace sst;
 
@@ -194,4 +199,63 @@ TEST(HierarchyDeath, MismatchedLineSizesFatal)
     HierarchyParams h = tinyParams();
     h.l1d.lineBytes = 32;
     EXPECT_DEATH({ MemorySystem sys(h); }, "line size");
+}
+
+/** CorePort's flat line set must behave exactly like an ordered set
+ *  under a long random insert/erase/lookup mix. A small key universe
+ *  keeps the array at 16-64 slots and well loaded, so probe runs wrap
+ *  past the last slot constantly. */
+TEST(LineSet, MatchesStdSetUnderRandomChurn)
+{
+    LineSet flat;
+    std::set<Addr> ref;
+    Rng rng(0x11ae5e7);
+    for (int step = 0; step < 200'000; ++step) {
+        Addr line = rng.below(40) * 64;
+        switch (rng.below(3)) {
+          case 0:
+            ASSERT_EQ(flat.insert(line), ref.insert(line).second);
+            break;
+          case 1:
+            ASSERT_EQ(flat.erase(line), ref.erase(line) == 1);
+            break;
+          default:
+            ASSERT_EQ(flat.contains(line), ref.count(line) == 1);
+            break;
+        }
+        ASSERT_EQ(flat.size(), ref.size());
+    }
+    EXPECT_EQ(flat.sorted(), std::vector<Addr>(ref.begin(), ref.end()));
+    flat.clear();
+    EXPECT_EQ(flat.size(), 0u);
+    EXPECT_TRUE(flat.sorted().empty());
+}
+
+/** Backward-shift deletion across the wrap-around: lines whose home is
+ *  the last slot of a 16-slot array fill it and spill into slots 0, 1,
+ *  ...; erasing the first must shift the spilled ones back so each stays
+ *  reachable. The home slot is the top four bits of the Fibonacci
+ *  product, as in LineSet::home(). */
+TEST(LineSet, BackwardShiftAcrossWrapAround)
+{
+    std::vector<Addr> wrap;
+    for (Addr line = 0; wrap.size() < 4; line += 64)
+        if ((line * 0x9E3779B97F4A7C15ULL) >> 60 == 15)
+            wrap.push_back(line);
+    Addr other = 0;
+    while ((other * 0x9E3779B97F4A7C15ULL) >> 60 != 1)
+        other += 64;
+
+    LineSet flat;
+    for (Addr line : wrap)
+        ASSERT_TRUE(flat.insert(line)); // slots 15, 0, 1, 2
+    ASSERT_TRUE(flat.insert(other));    // home 1, pushed to slot 3
+    for (std::size_t victim = 0; victim < wrap.size(); ++victim) {
+        ASSERT_TRUE(flat.erase(wrap[victim]));
+        EXPECT_FALSE(flat.contains(wrap[victim]));
+        for (std::size_t i = victim + 1; i < wrap.size(); ++i)
+            EXPECT_TRUE(flat.contains(wrap[i])) << victim << " " << i;
+        EXPECT_TRUE(flat.contains(other)) << victim;
+    }
+    EXPECT_EQ(flat.sorted(), std::vector<Addr>{other});
 }

@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <vector>
+
+#include "common/rng.hh"
 #include "common/stats.hh"
 #include "mem/mshr.hh"
 #include "mem/prefetcher.hh"
+#include "snap/snap.hh"
 
 using namespace sst;
 
@@ -67,6 +73,73 @@ TEST(Mshr, ResetClears)
     m.reset();
     EXPECT_FALSE(m.full(0));
     EXPECT_EQ(m.pendingCompletion(0x100), invalidCycle);
+}
+
+/**
+ * The expiry horizon is derived state: full(), pendingCompletion() and
+ * earliestFree() must answer exactly as a plain scan of the live
+ * entries does, including after reset(), invalidate() and a restore
+ * into a fresh file (which rebuilds the horizon from the loaded
+ * entries).
+ */
+TEST(Mshr, HorizonMatchesScanAcrossResetInvalidateAndIo)
+{
+    struct Ref
+    {
+        Addr line;
+        Cycle completion;
+    };
+    std::vector<Ref> ref;
+    StatGroup sg("t");
+    auto m = std::make_unique<MshrFile>("m", 4, sg);
+    Rng rng(0x6d736872);
+    Cycle now = 0;
+    for (int step = 0; step < 20'000; ++step) {
+        now += rng.below(4);
+        Addr line = rng.below(16) * 64;
+        switch (rng.below(20)) {
+          case 0:
+            m->reset();
+            ref.clear();
+            break;
+          case 1:
+            m->invalidate(line);
+            for (Ref &r : ref)
+                if (r.line == line)
+                    r.line = invalidAddr;
+            break;
+          case 2: {
+            snap::Writer w;
+            m->io(w);
+            auto restored = std::make_unique<MshrFile>("m", 4, sg);
+            snap::Reader rd(w.data());
+            restored->io(rd);
+            rd.done();
+            m = std::move(restored);
+            break;
+          }
+          default:
+            if (!m->full(now)
+                && m->pendingCompletion(line) == invalidCycle) {
+                Cycle done = now + 1 + rng.below(60);
+                m->allocate(line, done, true, now);
+                ref.push_back({line, done});
+            }
+            break;
+        }
+        std::erase_if(ref,
+                      [&](const Ref &r) { return r.completion <= now; });
+        Cycle want = invalidCycle;
+        for (const Ref &r : ref)
+            if (r.line == line)
+                want = r.completion;
+        ASSERT_EQ(m->full(now), ref.size() >= 4) << "step " << step;
+        ASSERT_EQ(m->pendingCompletion(line), want) << "step " << step;
+        Cycle earliest = invalidCycle;
+        for (const Ref &r : ref)
+            earliest = std::min(earliest, r.completion);
+        ASSERT_EQ(m->earliestFree(), earliest) << "step " << step;
+    }
 }
 
 TEST(MshrDeath, OverAllocatePanics)

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -291,6 +292,135 @@ TEST(Profile, CorruptBytesSkippedWithWarning)
     ASSERT_TRUE(loaded.ok()) << loaded.error().message;
     EXPECT_EQ(loaded.value().usableCount(), lib.usableCount() - 1);
     EXPECT_FALSE(capture.text().empty());
+}
+
+/**
+ * Checksums are verified on worker threads, but triage reports in region
+ * order: twenty loads of one damaged library (two members corrupted,
+ * one truncated) must each emit the same three warnings, ordered by
+ * region, and keep exactly the undamaged members, byte-equal to the
+ * in-memory build.
+ */
+TEST(Profile, ParallelTriageIsOrderedAndRepeatable)
+{
+    Workload w = wl("oltp_mix");
+    MachineConfig mc = makePreset("sst2");
+    Config cfg;
+    std::uint64_t hash = hashFor(mc, cfg);
+    const ProfileParams pp = params(5000, 6);
+    ProfileLibrary lib = buildProfileLibrary(mc, w.program, pp, hash);
+    std::vector<std::uint64_t> selected;
+    for (const auto &r : lib.regions)
+        if (r.selected)
+            selected.push_back(r.index);
+    ASSERT_GE(selected.size(), 4u);
+    std::string dir = freshDir("triage_order");
+    ASSERT_TRUE(saveProfileLibrary(lib, dir).ok());
+
+    auto member = [&](std::uint64_t index) {
+        return dir + "/region-" + std::to_string(index) + ".snap";
+    };
+    auto flipMiddleByte = [](const std::string &path) {
+        std::fstream f(path, std::ios::in | std::ios::out
+                                 | std::ios::binary);
+        f.seekp(static_cast<std::streamoff>(
+            std::filesystem::file_size(path) / 2));
+        char c = 0;
+        f.read(&c, 1);
+        f.seekp(-1, std::ios::cur);
+        c = static_cast<char>(c ^ 0x5a);
+        f.write(&c, 1);
+    };
+    const std::vector<std::uint64_t> damaged{selected[0], selected[1],
+                                             selected[2]};
+    flipMiddleByte(member(damaged[0]));
+    std::filesystem::resize_file(member(damaged[1]), 6); // header torn
+    flipMiddleByte(member(damaged[2]));
+
+    std::string first;
+    for (int load = 0; load < 20; ++load) {
+        LogCapture capture;
+        auto loaded = loadProfileLibrary(dir, mc, w.program, pp, hash);
+        ASSERT_TRUE(loaded.ok()) << loaded.error().message;
+        const ProfileLibrary &got = loaded.value();
+        ASSERT_EQ(got.regions.size(), lib.regions.size());
+        for (std::size_t i = 0; i < got.regions.size(); ++i) {
+            bool hit = std::find(damaged.begin(), damaged.end(), i)
+                       != damaged.end();
+            if (hit || !lib.regions[i].selected)
+                EXPECT_TRUE(got.regions[i].member.empty()) << i;
+            else
+                EXPECT_EQ(got.regions[i].member, lib.regions[i].member)
+                    << i;
+        }
+        if (load == 0) {
+            first = capture.text();
+            std::size_t at = 0;
+            for (std::uint64_t index : damaged) {
+                std::size_t pos = first.find(member(index) + ":", at);
+                ASSERT_NE(pos, std::string::npos) << first;
+                at = pos + 1;
+            }
+            EXPECT_EQ(std::count(first.begin(), first.end(), '\n'), 3)
+                << first;
+            EXPECT_NE(first.find("truncated"), std::string::npos) << first;
+            EXPECT_NE(first.find("checksum mismatch"), std::string::npos)
+                << first;
+        } else {
+            EXPECT_EQ(capture.text(), first) << "load " << load;
+        }
+    }
+}
+
+/**
+ * A member that cannot be written (a directory squats on its final
+ * path, so the staging rename fails) fails the save with the first such
+ * member's error in region order and leaves no manifest behind; the
+ * cache-or-build path still serves the library it built, with a
+ * warning.
+ */
+TEST(Profile, SaveFailureWritesNoManifest)
+{
+    Workload w = wl("oltp_mix");
+    MachineConfig mc = makePreset("sst2");
+    Config cfg;
+    std::uint64_t hash = hashFor(mc, cfg);
+    const ProfileParams pp = params();
+    ProfileLibrary lib = buildProfileLibrary(mc, w.program, pp, hash);
+    std::vector<std::uint64_t> selected;
+    for (const auto &r : lib.regions)
+        if (r.selected)
+            selected.push_back(r.index);
+    ASSERT_GE(selected.size(), 3u);
+
+    std::string root = freshDir("save_failure");
+    std::string dir = profileCacheDir(root, mc, w.program, pp, hash);
+    auto member = [&](std::uint64_t index) {
+        return dir + "/region-" + std::to_string(index) + ".snap";
+    };
+    std::filesystem::create_directories(member(selected[1]) + "/squat");
+    std::filesystem::create_directories(member(selected[2]) + "/squat");
+
+    auto saved = saveProfileLibrary(lib, dir);
+    ASSERT_FALSE(saved.ok());
+    EXPECT_NE(saved.error().message.find(member(selected[1]) + "'"),
+              std::string::npos)
+        << saved.error().message;
+    EXPECT_EQ(saved.error().message.find(member(selected[2]) + "'"),
+              std::string::npos)
+        << saved.error().message;
+    EXPECT_FALSE(std::filesystem::exists(dir + "/library.manifest"));
+
+    LogCapture capture;
+    auto served = ensureProfileLibrary(mc, w.program, pp, root, hash);
+    ASSERT_TRUE(served.ok()) << served.error().message;
+    ASSERT_EQ(served.value().regions.size(), lib.regions.size());
+    for (std::size_t i = 0; i < lib.regions.size(); ++i)
+        EXPECT_EQ(served.value().regions[i].member, lib.regions[i].member)
+            << i;
+    EXPECT_NE(capture.text().find("could not populate"), std::string::npos)
+        << capture.text();
+    EXPECT_FALSE(std::filesystem::exists(dir + "/library.manifest"));
 }
 
 TEST(Profile, ConcurrentWritersLeaveOneValidEntry)

@@ -238,6 +238,18 @@ TEST(Snap, ReadMissingFileIsAnError)
     EXPECT_FALSE(rd.ok());
 }
 
+TEST(Snap, ReadDirectoryIsACleanError)
+{
+    // A directory opens fine, and fseek/ftell would size it as a huge
+    // file; readFile must refuse it before allocating anything.
+    auto rd = snap::readFile(::testing::TempDir());
+    ASSERT_FALSE(rd.ok());
+    EXPECT_NE(rd.error().message.find("not a regular file"),
+              std::string::npos)
+        << rd.error().message;
+    EXPECT_EQ(rd.error().exitCode, exit_code::badInput);
+}
+
 /** An Rng restored mid-stream must continue the exact stream. */
 TEST(Snap, RngRoundTrip)
 {

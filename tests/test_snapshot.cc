@@ -336,6 +336,28 @@ TEST(Snapshot, CorruptCountFailsCleanly)
         << res.error().message;
 }
 
+/** resume= naming a directory fails both restore paths with a clean
+ *  input error (exit code 65), not an allocation abort. */
+TEST(Snapshot, RestoreFromDirectoryFailsCleanly)
+{
+    Program program = workloadProgram("hash_join");
+    const std::string dir = ::testing::TempDir();
+
+    Machine machine(makePreset("sst2"), program);
+    auto res = machine.restoreFromFile(dir);
+    ASSERT_FALSE(res.ok());
+    EXPECT_EQ(res.error().exitCode, exit_code::badInput);
+    EXPECT_NE(res.error().message.find("not a regular file"),
+              std::string::npos)
+        << res.error().message;
+
+    std::vector<const Program *> programs{&program, &program};
+    Cmp cmp(makePreset("sst2"), programs);
+    auto cmpRes = cmp.restoreFromFile(dir);
+    ASSERT_FALSE(cmpRes.ok());
+    EXPECT_EQ(cmpRes.error().exitCode, exit_code::badInput);
+}
+
 /** A ROB count beyond core.rob_entries (a corrupt count, or a file
  *  saved by a larger window) fails the restore cleanly instead of
  *  overrunning the fixed-capacity ROB. */
