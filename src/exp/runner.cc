@@ -11,13 +11,9 @@
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "exp/json.hh"
+#include "exp/run.hh"
 #include "exp/threadpool.hh"
-#include "fault/chaos.hh"
-#include "func/executor.hh"
-#include "sim/presets.hh"
-#include "sim/profile.hh"
 #include "snap/snap.hh"
-#include "workloads/workloads.hh"
 
 namespace sst::exp
 {
@@ -303,6 +299,70 @@ resolveProfileCache(const SweepSpec &spec, const SweepRunOptions &options)
     return "";
 }
 
+namespace
+{
+
+/** The job as a run request: its preset, workload and seeds as driver
+ *  keys on top of its machine overrides. */
+Config
+jobRequest(const SweepSpec &sweep, const JobSpec &job)
+{
+    Config request = job.overrides;
+    request.set("preset", job.preset);
+    request.set("workload", job.workload);
+    request.set("seed", job.workloadSeed);
+    // Shortest round-trip text, so the resolver reads the exact scale.
+    request.set("length_scale", jsonNumber(sweep.lengthScale));
+    request.set("footprint_scale", jsonNumber(sweep.footprintScale));
+    return request;
+}
+
+/** The manifest's run mode for one job of @p target. */
+RunOptions
+jobRunOptions(const SweepSpec &sweep, const JobSpec &job,
+              const SweepRunOptions &options, const RunTarget &target)
+{
+    RunOptions ro;
+    ro.maxCycles = sweep.maxCycles;
+    if (sweep.sample) {
+        // Sampled job: serve every detailed window from a
+        // checkpoint-warmed profile library instead of simulating the
+        // whole program. The profiling pass runs at functional speed
+        // and amortizes across the shared cache.
+        ro.sample = true;
+        ro.fromLibrary = true;
+        ro.sampling.detailInsts = sweep.sampleDetail;
+        ro.profile.maxRegions = sweep.sampleRegions;
+        ro.profile.regionInsts =
+            sweep.regionInsts
+                ? sweep.regionInsts
+                : profileRegionHint(target.workloads.front().approxDynInsts);
+        ro.profileCache = resolveProfileCache(sweep, options);
+        return ro;
+    }
+    ro.verifyGolden = sweep.verifyGolden;
+    ro.chaos = options.chaos;
+    if (!options.artifactDir.empty()) {
+        std::string snapPath = jobSnapPath(options.artifactDir, job.index);
+        if (options.snapEvery)
+            ro.snap = SnapPolicy{options.snapEvery, snapPath};
+        if (options.resume) {
+            ro.resume = snapPath;
+            ro.resumeOptional = true;
+            ro.onReady = [snapPath, index = job.index](
+                             Machine &, const RunOutcome &run) {
+                if (!run.resumeError.empty())
+                    warn("resume: checkpoint '%s' unusable (%s); "
+                         "restarting job #%zu from cycle 0",
+                         snapPath.c_str(), run.resumeError.c_str(), index);
+            };
+        }
+    }
+    return ro;
+}
+
+} // namespace
+
 JobOutcome
 runJob(const SweepSpec &sweep, const JobSpec &job,
        const SweepRunOptions &options)
@@ -312,54 +372,32 @@ runJob(const SweepSpec &sweep, const JobSpec &job,
 
     std::string coreStatsJson;
     std::string faultStatsJson;
-    // Getters record defaulted keys, so after applyOverrides this
-    // holds the *complete* effective machine config for the record.
+    // The resolved target's effective config is complete (every
+    // defaulted machine key); job.overrides stands in if it never
+    // resolves.
     Config effective = job.overrides;
 
     // Capture this job's diagnostics so concurrent jobs cannot
     // interleave on stderr; the text ships inside the record.
     LogCapture capture;
     auto attempt = trapFatal([&] {
-        WorkloadParams wp;
-        wp.seed = job.workloadSeed;
-        wp.lengthScale = sweep.lengthScale;
-        wp.footprintScale = sweep.footprintScale;
-        Workload wl = makeWorkload(job.workload, wp);
-
-        MachineConfig mc = makePreset(job.preset);
-        applyOverrides(mc, effective);
-
-        if (sweep.sample) {
-            // Sampled job: serve every detailed window from a
-            // checkpoint-warmed profile library instead of simulating
-            // the whole program. No chaos/snapshot machinery — the
-            // longest phase (the profiling pass) runs at functional
-            // speed and amortizes across the shared cache.
-            ProfileParams pp;
-            pp.regionInsts = sweep.regionInsts
-                                 ? sweep.regionInsts
-                                 : profileRegionHint(wl.approxDynInsts);
-            pp.maxRegions = sweep.sampleRegions;
-            std::uint64_t configHash = memConfigHash(mc, effective);
-            auto library = ensureProfileLibrary(
-                mc, wl.program, pp, resolveProfileCache(sweep, options),
-                configHash);
-            fatal_if(!library.ok(), "%s",
-                     library.error().message.c_str());
-            SampleParams sp;
-            sp.detailInsts = sweep.sampleDetail;
-            SampledResult s = runSampledFromLibrary(mc, wl.program,
-                                                    library.value(), sp);
-            out.result.preset = mc.presetName;
-            out.result.workload = wl.name;
-            out.result.insts = library.value().totalInsts;
-            out.result.ipc = s.ipc;
-            out.result.cycles =
-                s.ipc > 0 ? static_cast<Cycle>(
-                    static_cast<double>(library.value().totalInsts)
-                    / s.ipc)
-                          : 0;
-            out.result.finished = s.reachedEnd;
+        auto target = resolveRun(jobRequest(sweep, job));
+        fatal_if(!target.ok(), "%s", target.error().message.c_str());
+        effective = target.value().effective;
+        RunOptions ro = jobRunOptions(sweep, job, options, target.value());
+        auto run = executeRun(target.value(), ro);
+        fatal_if(!run.ok(), "%s", run.error().message.c_str());
+        RunOutcome &r = run.value();
+        out.result = r.result;
+        out.archVerified = r.archVerified;
+        out.archOk = r.archOk;
+        if (r.machine) {
+            coreStatsJson = r.machine->core().stats().toJson();
+            faultStatsJson =
+                r.machine->memsys().faults().stats().toJson();
+        }
+        if (ro.sample) {
+            const SampledResult &s = r.sample;
             out.sampled = true;
             out.windows = s.windowIpc.size();
             out.detailedInsts = s.detailedInsts;
@@ -367,61 +405,6 @@ runJob(const SweepSpec &sweep, const JobSpec &job,
             out.ipcCi95 = s.ipcCi95();
             out.warmAccesses = s.warmAccesses;
             out.warmHits = s.warmHits;
-            return;
-        }
-
-        Machine machine(mc, wl.program);
-        if (options.chaos) {
-            // Poison-job hook: a config-carried chaos_exit_cycle kills
-            // this process at that simulated cycle, every attempt —
-            // the retry budget turns that into quarantine.
-            if (mc.mem.fault.chaosExitCycle)
-                options.chaos->scheduleExit(mc.mem.fault.chaosExitCycle);
-            machine.setChaosMonitor(options.chaos);
-        }
-        SnapPolicy policy;
-        if (!options.artifactDir.empty() && options.snapEvery) {
-            policy.everyCycles = options.snapEvery;
-            policy.path = jobSnapPath(options.artifactDir, job.index);
-        }
-        if (options.resume && !options.artifactDir.empty()) {
-            std::string snapPath =
-                jobSnapPath(options.artifactDir, job.index);
-            std::error_code ec;
-            if (std::filesystem::exists(snapPath, ec)) {
-                // Validate the handoff before restoring: a checkpoint
-                // some other worker wrote must carry the snapshot
-                // magic/version before this process trusts it.
-                auto usable = snap::probeSnapshotFile(snapPath);
-                auto restored = usable.ok()
-                                    ? machine.restoreFromFile(snapPath)
-                                    : usable;
-                if (!restored.ok())
-                    warn("resume: checkpoint '%s' unusable (%s); "
-                         "restarting job #%zu from cycle 0",
-                         snapPath.c_str(),
-                         restored.error().message.c_str(), job.index);
-            }
-        }
-        out.result = policy.everyCycles
-                         ? machine.run(sweep.maxCycles, policy)
-                         : machine.run(sweep.maxCycles);
-        coreStatsJson = machine.core().stats().toJson();
-        faultStatsJson = machine.memsys().faults().stats().toJson();
-
-        if (sweep.verifyGolden && out.result.finished) {
-            MemoryImage goldenMem;
-            goldenMem.loadSegments(wl.program);
-            Executor golden(wl.program, goldenMem);
-            ArchState goldenState;
-            std::uint64_t goldenInsts =
-                golden.run(goldenState, 2'000'000'000ULL);
-            out.archVerified = true;
-            out.archOk = goldenState.halted
-                         && machine.core().archState().regsEqual(
-                             goldenState)
-                         && machine.image().contentEquals(goldenMem)
-                         && out.result.insts == goldenInsts;
         }
     });
     out.ran = attempt.ok();

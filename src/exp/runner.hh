@@ -189,7 +189,11 @@ std::size_t loadFinishedRecords(const std::vector<JobSpec> &jobs,
                                 ResultSink &sink,
                                 std::vector<char> &done);
 
-/** Run one job in isolation (also the unit the pool executes). */
+/**
+ * Run one job in isolation (also the unit the pool executes): the job
+ * as a run request through resolveRun, the manifest's mode through
+ * executeRun (exp/run.hh), then the record.
+ */
 JobOutcome runJob(const SweepSpec &spec, const JobSpec &job,
                   const SweepRunOptions &options = {});
 

@@ -223,7 +223,7 @@ SweepSpec::parse(const std::string &text, const std::string &origin)
 }
 
 Result<SweepSpec>
-SweepSpec::parseFile(const std::string &path)
+SweepSpec::parseFile(const std::string &path, std::string *text)
 {
     std::ifstream in(path);
     if (!in)
@@ -231,6 +231,8 @@ SweepSpec::parseFile(const std::string &path)
                      exit_code::badInput};
     std::stringstream ss;
     ss << in.rdbuf();
+    if (text)
+        *text = ss.str();
     return parse(ss.str(), path);
 }
 

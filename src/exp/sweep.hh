@@ -115,8 +115,10 @@ struct SweepSpec
     static Result<SweepSpec> parse(const std::string &text,
                                    const std::string &origin = "manifest");
 
-    /** Read and parse a manifest file. */
-    static Result<SweepSpec> parseFile(const std::string &path);
+    /** Read and parse a manifest file; @p text, when given, receives
+     *  its bytes (the service broker ships them to workers). */
+    static Result<SweepSpec> parseFile(const std::string &path,
+                                       std::string *text = nullptr);
 
     /** Jobs per preset (workloads x axes x repeats). */
     std::size_t pointCount() const;

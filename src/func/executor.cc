@@ -239,6 +239,18 @@ Executor::run(ArchState &state, std::uint64_t maxInsts)
     return n;
 }
 
+Result<GoldenRun>
+goldenRun(const Program &program, std::uint64_t maxInsts)
+{
+    GoldenRun golden;
+    golden.image.loadSegments(program);
+    golden.insts = Executor(program, golden.image).run(golden.state, maxInsts);
+    if (!golden.state.halted)
+        return Error{"program does not halt functionally",
+                     exit_code::badInput};
+    return golden;
+}
+
 template <class Io>
 void
 ArchState::io(Io &s)

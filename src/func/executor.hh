@@ -15,6 +15,7 @@
 #include <array>
 #include <cstdint>
 
+#include "common/result.hh"
 #include "common/types.hh"
 #include "func/memory_image.hh"
 #include "isa/instruction.hh"
@@ -107,6 +108,20 @@ class Executor
     const Program &program_;
     MemoryImage &memory_;
 };
+
+/** A program run to HALT on the golden functional executor: the
+ *  reference every timing run's final state is compared against. */
+struct GoldenRun
+{
+    MemoryImage image;
+    ArchState state;
+    std::uint64_t insts = 0;
+};
+
+/** Run @p program to HALT on a fresh image; an Error when it does not
+ *  halt within @p maxInsts instructions. */
+Result<GoldenRun> goldenRun(const Program &program,
+                            std::uint64_t maxInsts = 2'000'000'000ULL);
 
 } // namespace sst
 

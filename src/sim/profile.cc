@@ -31,12 +31,6 @@ bbvBucket(Addr pc)
     return static_cast<unsigned>((pc * 0x9E3779B97F4A7C15ULL) >> 59);
 }
 
-std::uint64_t
-clampStride(std::uint64_t stride)
-{
-    return std::clamp<std::uint64_t>(stride, 10'000, 2'000'000);
-}
-
 std::string
 memberFileName(std::uint64_t index)
 {
@@ -453,7 +447,7 @@ memConfigHash(const MachineConfig &config, const Config &effective)
 std::uint64_t
 profileRegionHint(std::uint64_t approxDynInsts)
 {
-    return clampStride(approxDynInsts / 16);
+    return std::clamp<std::uint64_t>(approxDynInsts / 16, 10'000, 2'000'000);
 }
 
 ProfileLibrary
@@ -465,17 +459,12 @@ buildProfileLibrary(const MachineConfig &config, const Program &program,
 
     std::uint64_t stride = params.regionInsts;
     if (stride == 0) {
-        // Counting pre-pass: cut the program into ~16 regions.
-        MemoryImage cimage;
-        cimage.loadSegments(program);
-        Executor cexec(program, cimage);
-        ArchState cs;
-        std::uint64_t n = cexec.run(cs, params.maxInsts);
-        fatal_if(!cs.halted,
+        auto counted = goldenRun(program, params.maxInsts);
+        fatal_if(!counted.ok(),
                  "profile: '%s' did not halt within %llu instructions",
                  program.name().c_str(),
                  static_cast<unsigned long long>(params.maxInsts));
-        stride = clampStride(n / 16);
+        stride = profileRegionHint(counted.value().insts);
     }
 
     ProfileLibrary lib;
@@ -531,13 +520,12 @@ buildProfileLibrary(const MachineConfig &config, const Program &program,
 
     selectRegions(lib.regions, bbv, params.maxRegions);
 
-    // Pass 2: replay with cache warming — runSampled's fast-forward
-    // semantics, including the bounded MSHR-retry loop — and serialize
-    // each selected region's start state at its boundary. Sealing a
-    // member (hashing its megabytes) runs on the pool while warming
-    // continues. The pool is declared after lib, so a fatal() unwinding
-    // out of this pass joins the sealing tasks before their members are
-    // freed.
+    // Pass 2: replay with cache warming (warmStep, the step runSampled
+    // fast-forwards with) and serialize each selected region's start
+    // state at its boundary. Sealing a member (hashing its megabytes)
+    // runs on the pool while warming continues. The pool is declared
+    // after lib, so a fatal() unwinding out of this pass joins the
+    // sealing tasks before their members are freed.
     const auto selected = static_cast<std::size_t>(
         std::count_if(lib.regions.begin(), lib.regions.end(),
                       [](const ProfileRegion &r) { return r.selected; }));
@@ -565,22 +553,8 @@ buildProfileLibrary(const MachineConfig &config, const Program &program,
             } while (next < lib.regions.size()
                      && !lib.regions[next].selected);
         }
-        StepInfo info = exec.step(cursor);
-        if (info.effAddr != invalidAddr) {
-            AccessType type = isStore(info.inst.op) ? AccessType::Store
-                                                    : AccessType::Load;
-            ++lib.warmAccesses;
-            auto res = port.access(type, info.effAddr, clock);
-            for (int tries = 0;
-                 res.rejected && res.retryCycle > clock && tries < 4;
-                 ++tries) {
-                clock = res.retryCycle;
-                res = port.access(type, info.effAddr, clock);
-            }
-            if (!res.rejected && res.l1Hit)
-                ++lib.warmHits;
-        }
-        clock += params.warmCpi;
+        warmStep(exec, cursor, port, clock, params.warmCpi,
+                 lib.warmAccesses, lib.warmHits);
         ++done;
     }
     panic_if(done != lib.totalInsts,
@@ -809,14 +783,7 @@ runSampledFromLibrary(const MachineConfig &config, const Program &program,
 
         auto core = makeCore(config, program, image, port);
         core->warmStart(cursor, h.startClock);
-        std::uint64_t budget_cycles = params.detailInsts * 1000;
-        while (!core->halted()
-               && core->instsRetired() < params.detailInsts
-               && core->cycles() - core->startCycle() < budget_cycles)
-            core->tick();
-        fatal_if(!core->halted()
-                     && core->instsRetired() < params.detailInsts,
-                 "sampled window made no progress");
+        runWindow(*core, params.detailInsts);
         std::uint64_t insts = core->instsRetired();
         Cycle cycles = core->cycles() - core->startCycle();
         fatal_if(insts == 0, "sampled window retired nothing");

@@ -121,7 +121,7 @@ std::uint64_t profileRegionHint(std::uint64_t approxDynInsts);
  * The profiling pass. Pass 1 runs the golden executor once to collect
  * per-region basic-block vectors and the total instruction count;
  * selection then picks the representatives; pass 2 replays the program
- * with cache warming (runSampled's fast-forward semantics, including
+ * with cache warming (warmStep, runSampled's fast-forward step, including
  * the bounded MSHR-retry loop) and serializes each selected region's
  * start state; each member's checksum is computed on a worker thread
  * while warming continues. The program must halt within

@@ -74,34 +74,9 @@ runSampled(const MachineConfig &config, const Program &program,
 
     auto fast_forward = [&](std::uint64_t n) {
         std::uint64_t done = 0;
-        while (done < n && !cursor.halted) {
-            StepInfo info = exec.step(cursor);
-            if (info.effAddr != invalidAddr) {
-                AccessType type = isStore(info.inst.op)
-                                      ? AccessType::Store
-                                      : AccessType::Load;
-                ++result.warmAccesses;
-                auto res = port.access(type, info.effAddr, clock);
-                // A rejected access (MSHRs full) is dropped by the
-                // port, not queued. Ignoring the rejection meant that
-                // once the coarse warm clock filled the MSHR file,
-                // every later access in the window bounced and warming
-                // silently stopped. Advance the clock to the port's
-                // retry cycle — that is when an MSHR frees — and
-                // re-issue, bounded so a pathological port cannot wedge
-                // the functional cursor.
-                for (int tries = 0;
-                     res.rejected && res.retryCycle > clock && tries < 4;
-                     ++tries) {
-                    clock = res.retryCycle;
-                    res = port.access(type, info.effAddr, clock);
-                }
-                if (!res.rejected && res.l1Hit)
-                    ++result.warmHits;
-            }
-            clock += params.warmCpi;
-            ++done;
-        }
+        for (; done < n && !cursor.halted; ++done)
+            warmStep(exec, cursor, port, clock, params.warmCpi,
+                     result.warmAccesses, result.warmHits);
         result.skippedInsts += done;
     };
 
@@ -113,14 +88,7 @@ runSampled(const MachineConfig &config, const Program &program,
         // Detailed window.
         auto core = makeCore(config, program, image, port);
         core->warmStart(cursor, clock);
-        std::uint64_t budget_cycles = params.detailInsts * 1000;
-        while (!core->halted()
-               && core->instsRetired() < params.detailInsts
-               && core->cycles() - core->startCycle() < budget_cycles)
-            core->tick();
-        fatal_if(!core->halted()
-                     && core->instsRetired() < params.detailInsts,
-                 "sampled window made no progress");
+        runWindow(*core, params.detailInsts);
 
         std::uint64_t insts = core->instsRetired();
         Cycle cycles = core->cycles() - core->startCycle();

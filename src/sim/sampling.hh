@@ -17,6 +17,8 @@
 
 #include <vector>
 
+#include "common/logging.hh"
+#include "func/executor.hh"
 #include "sim/machine.hh"
 
 namespace sst
@@ -70,6 +72,51 @@ struct SampledResult
      *  fewer than two windows. */
     double ipcCi95() const;
 };
+
+/**
+ * One warming step: execute one instruction, issue its data access (if
+ * any) at the coarse warm clock, then charge @p warmCpi cycles. The
+ * port drops a rejected access (MSHRs full); ignoring that once let the
+ * warm clock fill the MSHR file and silently stop warming. So the clock
+ * advances to the retry cycle, when an MSHR frees, and the access is
+ * re-issued, bounded so a pathological port cannot wedge the cursor.
+ */
+inline void
+warmStep(Executor &exec, ArchState &cursor, CorePort &port, Cycle &clock,
+         unsigned warmCpi, std::uint64_t &accesses, std::uint64_t &hits)
+{
+    StepInfo info = exec.step(cursor);
+    if (info.effAddr != invalidAddr) {
+        AccessType type =
+            isStore(info.inst.op) ? AccessType::Store : AccessType::Load;
+        ++accesses;
+        auto res = port.access(type, info.effAddr, clock);
+        for (int tries = 0;
+             res.rejected && res.retryCycle > clock && tries < 4; ++tries) {
+            clock = res.retryCycle;
+            res = port.access(type, info.effAddr, clock);
+        }
+        if (!res.rejected && res.l1Hit)
+            ++hits;
+    }
+    clock += warmCpi;
+}
+
+/**
+ * One detailed sample window: tick @p core until it halts or retires
+ * @p detailInsts instructions. A window that spends 1000 cycles per
+ * requested instruction without getting there is fatal.
+ */
+inline void
+runWindow(Core &core, std::uint64_t detailInsts)
+{
+    std::uint64_t budgetCycles = detailInsts * 1000;
+    while (!core.halted() && core.instsRetired() < detailInsts
+           && core.cycles() - core.startCycle() < budgetCycles)
+        core.tick();
+    fatal_if(!core.halted() && core.instsRetired() < detailInsts,
+             "sampled window made no progress");
+}
 
 /**
  * Run @p program under @p config with the given sampling schedule.

@@ -1,0 +1,201 @@
+/**
+ * @file
+ * Tests for the run pipeline (src/exp/run.hh): resolveRun's error
+ * paths — every rejection carries its exit code and, for names, the
+ * nearest valid one — the effective config it hands to records, and
+ * executeRun's detailed mode (golden cross-check, resume policy) run
+ * from several threads at once, as sweep jobs do.
+ */
+
+#include <gtest/gtest.h>
+
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "exp/run.hh"
+
+using namespace sst;
+using namespace sst::exp;
+
+namespace
+{
+
+Config
+request(std::initializer_list<std::pair<const char *, const char *>> kv)
+{
+    Config cfg;
+    cfg.set("length_scale", "0.05");
+    for (const auto &[key, value] : kv)
+        cfg.set(key, value);
+    return cfg;
+}
+
+/** The error resolveRun gives @p cfg (fails the test if it resolves). */
+Error
+rejection(const Config &cfg, WorkloadSet set = WorkloadSet::Single)
+{
+    auto r = resolveRun(cfg, set);
+    EXPECT_FALSE(r.ok());
+    return r.ok() ? Error{} : r.error();
+}
+
+bool
+mentions(const Error &e, const std::string &text)
+{
+    return e.message.find(text) != std::string::npos;
+}
+
+} // namespace
+
+TEST(RunPipeline, UnknownKeySuggestsNearest)
+{
+    Error e = rejection(request({{"fault.drop_fill_rte", "1e-4"}}));
+    EXPECT_EQ(e.exitCode, exit_code::usage);
+    EXPECT_TRUE(mentions(e, "did you mean 'fault.drop_fill_rate'"))
+        << e.message;
+}
+
+TEST(RunPipeline, UnknownEnumValueSuggestsTheValueNotThePreset)
+{
+    Error e = rejection(request({{"core.predictor", "gshore"}}));
+    EXPECT_EQ(e.exitCode, exit_code::usage);
+    EXPECT_TRUE(mentions(e, "did you mean 'gshare'")) << e.message;
+    EXPECT_FALSE(mentions(e, "did you mean 'sst2'")) << e.message;
+    e = rejection(request({{"core.value_pred", "strde"}}));
+    EXPECT_TRUE(mentions(e, "did you mean 'stride'")) << e.message;
+}
+
+TEST(RunPipeline, UnknownPresetSuggestsNearest)
+{
+    Error e = rejection(request({{"preset", "sst3"}}));
+    EXPECT_EQ(e.exitCode, exit_code::usage);
+    EXPECT_TRUE(mentions(e, "did you mean 'sst2'")) << e.message;
+}
+
+TEST(RunPipeline, UnknownWorkloadSuggestsNearest)
+{
+    Error e = rejection(request({{"workload", "hash_jon"}}));
+    EXPECT_EQ(e.exitCode, exit_code::usage);
+    EXPECT_TRUE(mentions(e, "did you mean 'hash_join'")) << e.message;
+}
+
+TEST(RunPipeline, WorkloadSetsDoNotMix)
+{
+    Error e = rejection(request({{"workload", "spinlock_counter"}}));
+    EXPECT_EQ(e.exitCode, exit_code::usage);
+    EXPECT_TRUE(mentions(e, "sstsim cmp")) << e.message;
+    e = rejection(request({{"workload", "hash_join"}}),
+                  WorkloadSet::Shared);
+    EXPECT_EQ(e.exitCode, exit_code::usage);
+    EXPECT_TRUE(mentions(e, "unknown shared workload")) << e.message;
+}
+
+TEST(RunPipeline, SampleRejectsStartStateAndSnapshotKeys)
+{
+    for (const char *key : {"resume", "warm_start", "snap_every"}) {
+        Error e = rejection(request({{"sample", "true"}, {key, "1000"}}));
+        EXPECT_EQ(e.exitCode, exit_code::usage) << key;
+        EXPECT_TRUE(mentions(e, std::string(key)
+                                    + "= cannot combine with sample=true"))
+            << e.message;
+    }
+    Error e = rejection(
+        request({{"warm_start", "1000"}, {"resume", "never-read.snap"}}));
+    EXPECT_TRUE(mentions(e, "cannot combine with resume=")) << e.message;
+}
+
+TEST(RunPipeline, BadValuesAreBadInput)
+{
+    Error e = rejection(request({{"core.rob_entries", "0"}}));
+    EXPECT_EQ(e.exitCode, exit_code::badInput);
+    EXPECT_TRUE(mentions(e, "core.rob_entries must be at least 1"))
+        << e.message;
+    e = rejection(request({{"detail", "lots"}}));
+    EXPECT_EQ(e.exitCode, exit_code::badInput);
+    e = rejection(request({{"asm", "/nonexistent/kernel.s"}}));
+    EXPECT_EQ(e.exitCode, exit_code::badInput);
+}
+
+TEST(RunPipeline, EffectiveConfigIsCompleteMachineConfigOnly)
+{
+    auto r = resolveRun(request({{"preset", "ooo-large"},
+                                 {"workload", "hash_join"},
+                                 {"core.rob_entries", "64"},
+                                 {"json", "true"}}));
+    ASSERT_TRUE(r.ok()) << r.error().message;
+    const RunTarget &t = r.value();
+    EXPECT_EQ(t.machine.presetName, "ooo-large");
+    EXPECT_EQ(t.machine.core.robEntries, 64u);
+    EXPECT_EQ(t.program().name(), "hash_join");
+    bool sawDefault = false;
+    for (const auto &[key, value] : t.effective.items()) {
+        for (const auto &driver : driverKeys())
+            EXPECT_NE(key, driver) << "driver key in effective config";
+        if (key == "mem.dram_base_latency")
+            sawDefault = true;
+    }
+    EXPECT_TRUE(sawDefault) << "defaulted machine keys are recorded";
+    EXPECT_TRUE(t.options.verifyGolden);
+    EXPECT_FALSE(t.options.sample);
+}
+
+TEST(RunPipeline, SharedTargetsBuildOneProgramPerCoreOverCoherence)
+{
+    auto r = resolveRun(request({{"preset", "sst2"},
+                                 {"workload", "spinlock_counter"},
+                                 {"cmp.cores", "4"}}),
+                        WorkloadSet::Shared);
+    ASSERT_TRUE(r.ok()) << r.error().message;
+    EXPECT_EQ(r.value().workloads.size(), 4u);
+    EXPECT_TRUE(r.value().machine.mem.coh.enabled);
+}
+
+TEST(RunPipeline, ConcurrentDetailedRunsMatchGoldenAndEachOther)
+{
+    auto r = resolveRun(
+        request({{"preset", "sst2"}, {"workload", "hash_join"}}));
+    ASSERT_TRUE(r.ok()) << r.error().message;
+    const RunTarget &target = r.value();
+
+    constexpr int kRuns = 3;
+    std::vector<RunResult> results(kRuns);
+    std::vector<int> verified(kRuns, 0);
+    std::vector<std::thread> threads;
+    for (int i = 0; i < kRuns; ++i)
+        threads.emplace_back([&, i] {
+            auto run = executeRun(target, target.options);
+            if (!run.ok())
+                return;
+            results[i] = run.value().result;
+            verified[i] = run.value().archVerified && run.value().archOk;
+        });
+    for (auto &t : threads)
+        t.join();
+    for (int i = 0; i < kRuns; ++i) {
+        EXPECT_TRUE(verified[i]) << "run " << i;
+        EXPECT_TRUE(results[i].finished);
+        EXPECT_EQ(results[i].cycles, results[0].cycles);
+        EXPECT_EQ(results[i].insts, results[0].insts);
+    }
+}
+
+TEST(RunPipeline, ResumePolicy)
+{
+    auto r = resolveRun(
+        request({{"preset", "inorder"}, {"workload", "compute_kernel"}}));
+    ASSERT_TRUE(r.ok()) << r.error().message;
+    RunOptions options = r.value().options;
+    options.resume = "never-written.snap";
+
+    // An explicit resume= must exist.
+    auto strict = executeRun(r.value(), options);
+    ASSERT_FALSE(strict.ok());
+
+    // A sweep checkpoint may be missing: the run starts from cycle 0.
+    options.resumeOptional = true;
+    auto optional = executeRun(r.value(), options);
+    ASSERT_TRUE(optional.ok()) << optional.error().message;
+    EXPECT_TRUE(optional.value().resumeError.empty());
+    EXPECT_TRUE(optional.value().archOk);
+}

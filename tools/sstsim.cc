@@ -101,6 +101,11 @@
  * Without coherence the cores run salted disjoint address spaces and
  * the "shared" data is private per core — useful only as a baseline.
  *
+ * Every subcommand that takes key=value (the plain run, profile,
+ * trace, both sides of diff, cmp) resolves it through one resolver
+ * (exp/run.hh): unknown keys and enum values are rejected with a
+ * nearest-name suggestion (exit 64) before anything is built.
+ *
  * Exit codes: 0 success, 2 architectural mismatch vs golden, 3 cycle
  * budget exhausted, 4 livelock declared by the watchdog, 5 state
  * divergence found by diff mode, 6 sweep finished with quarantined
@@ -114,27 +119,23 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <sstream>
+#include <functional>
+#include <map>
 
-#include "branch/predictor.hh"
-#include "branch/valuepred.hh"
 #include "common/config.hh"
 #include "common/logging.hh"
 #include "common/result.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
 #include "exp/json.hh"
+#include "exp/run.hh"
 #include "exp/runner.hh"
 #include "exp/sweep.hh"
 #include "exp/threadpool.hh"
-#include "func/executor.hh"
-#include "isa/assembler.hh"
 #include "sim/cmp.hh"
 #include "sim/machine.hh"
 #include "sim/profile.hh"
-#include "sim/sampling.hh"
 #include "snap/diff.hh"
-#include "snap/snap.hh"
 #include "svc/server.hh"
 #include "svc/worker.hh"
 #include "trace/chrome.hh"
@@ -146,20 +147,6 @@ using namespace sst;
 
 namespace
 {
-
-/** Keys consumed by this driver itself (not machine configuration). */
-const std::vector<std::string> &
-driverKeys()
-{
-    static const std::vector<std::string> keys = {
-        "workload", "asm",    "preset", "seed",   "length_scale",
-        "footprint_scale",    "stats",  "json",   "sample",
-        "detail",   "skip",   "trace",  "max_cycles",
-        "snap_every", "snap_out", "resume",
-        "profile_cache", "regions", "region_insts", "warm_start",
-    };
-    return keys;
-}
 
 int
 fail(const Error &error)
@@ -184,117 +171,180 @@ listAndExit()
     std::exit(exit_code::ok);
 }
 
-/** Reject unknown keys with a nearest-match suggestion. */
-Result<void>
-validateKeys(const Config &cfg)
+/** A subcommand option; @p apply gets its operand (nullptr for a
+ *  switch). */
+struct Option
 {
-    std::vector<std::string> known = driverKeys();
-    for (const auto &k : machineConfigKeys())
-        known.push_back(k);
-    for (const auto &kv : cfg.items()) {
-        if (std::find(known.begin(), known.end(), kv.first)
-            != known.end())
-            continue;
-        std::string msg = "unknown config key '" + kv.first + "'";
-        std::string near = closestMatch(kv.first, known);
-        if (!near.empty())
-            msg += "; did you mean '" + near + "'?";
-        msg += " (workload=list / preset=list show run targets)";
-        return Error{msg, exit_code::usage};
-    }
-    // Enumerated values get the same treatment as keys: reject with a
-    // nearest-match suggestion and the usage exit code, before any
-    // machine is built.
-    auto checkEnum = [&](const char *key,
-                         const std::vector<std::string> &values,
-                         const char *what) -> Result<void> {
-        std::string v = cfg.getString(key, "");
-        if (v.empty()
-            || std::find(values.begin(), values.end(), v)
-                   != values.end())
-            return {};
-        std::string msg = std::string("unknown ") + what + " '" + v
-                          + "' for " + key;
-        std::string near = closestMatch(v, values);
-        if (!near.empty())
-            msg += "; did you mean '" + near + "'?";
-        msg += " (known:";
-        for (const auto &name : values)
-            msg += " " + name;
-        msg += ")";
-        return Error{msg, exit_code::usage};
-    };
-    if (auto r = checkEnum("core.predictor", predictorNames(),
-                           "branch predictor");
-        !r.ok())
-        return r;
-    if (auto r = checkEnum("core.value_pred", valuePredNames(),
-                           "value predictor");
-        !r.ok())
-        return r;
-    return {};
+    bool takesOperand = true;
+    std::function<Result<void>(const std::string &flag, const char *operand)>
+        apply;
+};
+using Options = std::map<std::string, Option>;
+using OperandFn = std::function<Result<void>(const std::string &arg)>;
+
+/** An integer operand into @p out — the CLI's one integer-flag parser:
+ *  a usage error when it is malformed or (unless @p allowZero) zero. */
+template <typename T>
+Option
+num(T &out, bool allowZero = false)
+{
+    return {true, [&out, allowZero](const std::string &flag,
+                                    const char *text) -> Result<void> {
+                char *end = nullptr;
+                unsigned long long n = std::strtoull(text, &end, 10);
+                if (end == text || *end != '\0' || (!allowZero && n == 0))
+                    return Error{"bad " + flag + " value '" + text
+                                     + "' (want a "
+                                     + (allowZero ? "non-negative"
+                                                  : "positive")
+                                     + " integer)",
+                                 exit_code::usage};
+                out = static_cast<T>(n);
+                return {};
+            }};
 }
 
-Result<Program>
-loadProgram(const Config &cfg, std::string &category)
+/** A string operand into @p out. */
+Option
+str(std::string &out)
 {
-    std::string asm_path = cfg.getString("asm", "");
-    if (!asm_path.empty()) {
-        std::ifstream in(asm_path);
-        if (!in)
-            return Error{"cannot open '" + asm_path + "'",
-                         exit_code::badInput};
-        std::stringstream ss;
-        ss << in.rdbuf();
-        category = "user";
-        return tryAssemble(ss.str(), asm_path);
-    }
-    std::string name = cfg.getString("workload", "oltp_mix");
-    if (name == "list")
-        listAndExit();
-    auto names = allWorkloadNames();
-    if (std::find(names.begin(), names.end(), name) == names.end()) {
-        auto shared = sharedWorkloadNames();
-        if (std::find(shared.begin(), shared.end(), name)
-            != shared.end())
-            return Error{"'" + name
-                             + "' is a shared-memory workload; run it "
-                               "with 'sstsim cmp <preset> " + name
-                             + "'",
-                         exit_code::usage};
-        std::string msg = "unknown workload '" + name + "'";
-        std::string near = closestMatch(name, names);
-        if (!near.empty())
-            msg += "; did you mean '" + near + "'?";
-        msg += " (workload=list shows all)";
-        return Error{msg, exit_code::usage};
-    }
-    WorkloadParams wp;
-    wp.seed = cfg.getUint("seed", 42);
-    wp.lengthScale = cfg.getDouble("length_scale", 1.0);
-    wp.footprintScale = cfg.getDouble("footprint_scale", 1.0);
-    Workload wl = makeWorkload(name, wp);
-    category = wl.category;
-    return std::move(wl.program);
+    return {true, [&out](const std::string &, const char *text) {
+                out = text;
+                return Result<void>();
+            }};
+}
+
+/** A switch that sets @p out. */
+Option
+on(bool &out)
+{
+    return {false, [&out](const std::string &, const char *) {
+                out = true;
+                return Result<void>();
+            }};
 }
 
 /**
- * `sstsim sweep <manifest> [-j N] [--json FILE] [--verify] [--quiet]`
- * — expand the manifest and run its jobs on the parallel runner.
+ * The one argv loop of every subcommand (argv[2] on): an argument is
+ * one of @p options (followed by its operand) or goes to @p operand;
+ * any other `-` argument is an unknown option.
  */
-/** Parse a positive integer CLI operand or die with usage. */
-Result<std::uint64_t>
-parseCount(const char *flag, const char *text, bool allowZero = false)
+Result<void>
+parseArgs(int argc, char **argv, const Options &options,
+          const OperandFn &operand)
 {
-    char *end = nullptr;
-    unsigned long long n = std::strtoull(text, &end, 10);
-    if (end == text || *end != '\0' || (!allowZero && n == 0))
-        return Error{std::string("bad ") + flag + " value '" + text
-                         + "' (want a positive integer)",
-                     exit_code::usage};
-    return static_cast<std::uint64_t>(n);
+    for (int i = 2; i < argc; ++i) {
+        std::string arg = argv[i];
+        auto it = options.find(arg);
+        if (it != options.end()) {
+            const Option &opt = it->second;
+            if (opt.takesOperand && ++i >= argc)
+                return Error{arg + " needs a value", exit_code::usage};
+            if (auto r = opt.apply(arg, opt.takesOperand ? argv[i] : nullptr);
+                !r.ok())
+                return r;
+        } else if (arg.size() > 2 && arg[0] == '-' && arg[1] != '-'
+                   && options.count(arg.substr(0, 2))) {
+            return Error{"write '" + arg.substr(0, 2) + " N' with a space",
+                         exit_code::usage};
+        } else if (!arg.empty() && arg[0] == '-') {
+            std::string known;
+            for (const auto &entry : options)
+                known += (known.empty() ? "" : ", ") + entry.first;
+            return Error{"unknown " + std::string(argv[1]) + " option '"
+                             + arg + "' (know " + known + ")",
+                         exit_code::usage};
+        } else if (auto r = operand(arg); !r.ok()) {
+            return r;
+        }
+    }
+    return {};
 }
 
+/** The command line of a `<preset> <workload> [key=value...]`
+ *  subcommand. */
+struct TargetArgs
+{
+    std::string preset;
+    std::string workload;
+    Config cfg;
+
+    /** Resolve @p request with the positional preset and workload. */
+    Result<exp::RunTarget>
+    resolve(Config request,
+            exp::WorkloadSet set = exp::WorkloadSet::Single) const
+    {
+        request.set("preset", preset);
+        request.set("workload", workload);
+        return exp::resolveRun(request, set);
+    }
+};
+
+/** parseArgs for profile, trace, diff and cmp: `k=v` goes to args.cfg,
+ *  the rest fill preset then workload. @p usage follows "usage: sstsim ". */
+Result<void>
+parseTargetArgs(int argc, char **argv, const std::string &usage,
+                const Options &options, TargetArgs &args)
+{
+    auto parsed = parseArgs(
+        argc, argv, options, [&](const std::string &arg) -> Result<void> {
+            if (arg.find('=') != std::string::npos)
+                return args.cfg.tryParseAssignment(arg);
+            std::string &slot =
+                args.preset.empty() ? args.preset : args.workload;
+            if (!slot.empty())
+                return Error{"unexpected argument '" + arg + "'",
+                             exit_code::usage};
+            slot = arg;
+            return {};
+        });
+    if (!parsed.ok())
+        return parsed;
+    if (args.preset.empty() || args.workload.empty())
+        return Error{"usage: sstsim " + usage, exit_code::usage};
+    if (args.preset == "list" || args.workload == "list")
+        listAndExit();
+    return {};
+}
+
+/** The broker's lease and retry options (sweep --distributed, serve). */
+Options
+brokerOptions(svc::BrokerOptions &broker)
+{
+    return {{"--lease-timeout-ms", num(broker.leaseTimeoutMs)},
+            {"--max-attempts", num(broker.maxAttempts)},
+            {"--backoff-base-ms", num(broker.backoffBaseMs)},
+            {"--backoff-max-ms", num(broker.backoffMaxMs)}};
+}
+
+/** A worker's own options (fault/chaos.hh for the --chaos-* hooks). */
+Options
+workerOptions(svc::WorkerOptions &worker)
+{
+    return {{"--heartbeat-ms", num(worker.heartbeatMs)},
+            {"--chaos-kill-cycle", num(worker.chaosKillCycle)},
+            {"--chaos-kill-attempt", num(worker.chaosKillAttempt)},
+            {"--chaos-stall-cycle", num(worker.chaosStallCycle)},
+            {"--chaos-stall-ms", num(worker.chaosStallMs)},
+            {"--chaos-stall-attempt", num(worker.chaosStallAttempt)}};
+}
+
+/** Operand handler of a subcommand that takes one file name. */
+OperandFn
+oneFile(std::string &out)
+{
+    return [&out](const std::string &arg) -> Result<void> {
+        if (!out.empty())
+            return Error{"more than one manifest given ('" + out + "' and '"
+                             + arg + "')",
+                         exit_code::usage};
+        out = arg;
+        return {};
+    };
+}
+
+/** `sstsim sweep`: the manifest's jobs on the parallel runner, or on
+ *  the experiment service with --distributed. */
 int
 sweepMain(int argc, char **argv)
 {
@@ -311,124 +361,27 @@ sweepMain(int argc, char **argv)
     svc::BrokerOptions brokerOpts;
     std::vector<std::string> workerArgs;
 
-    // Service flags that take one integer operand and are forwarded /
-    // applied verbatim; parsed generically to keep the loop readable.
-    auto uintFlag = [&](const std::string &arg, int &i,
-                        std::uint64_t &out, bool allowZero = false) {
-        if (i + 1 >= argc)
-            return Result<bool>(
-                Error{arg + " needs a value", exit_code::usage});
-        auto n = parseCount(arg.c_str(), argv[++i], allowZero);
-        if (!n.ok())
-            return Result<bool>(n.error());
-        out = n.value();
-        return Result<bool>(true);
-    };
-
-    for (int i = 2; i < argc; ++i) {
-        std::string arg = argv[i];
-        std::uint64_t tmp = 0;
-        if (arg == "--distributed") {
-            if (auto r = uintFlag(arg, i, tmp); !r.ok())
-                return fail(r.error());
-            distributed = static_cast<unsigned>(tmp);
-        } else if (arg == "--socket") {
-            if (++i >= argc)
-                return fail(Error{"--socket needs a path",
-                                  exit_code::usage});
-            socketPath = argv[i];
-        } else if (arg == "--lease-timeout-ms") {
-            if (auto r = uintFlag(arg, i, brokerOpts.leaseTimeoutMs);
-                !r.ok())
-                return fail(r.error());
-        } else if (arg == "--max-attempts") {
-            if (auto r = uintFlag(arg, i, tmp); !r.ok())
-                return fail(r.error());
-            brokerOpts.maxAttempts = static_cast<unsigned>(tmp);
-        } else if (arg == "--backoff-base-ms") {
-            if (auto r = uintFlag(arg, i, brokerOpts.backoffBaseMs);
-                !r.ok())
-                return fail(r.error());
-        } else if (arg == "--backoff-max-ms") {
-            if (auto r = uintFlag(arg, i, brokerOpts.backoffMaxMs);
-                !r.ok())
-                return fail(r.error());
-        } else if (arg == "--chaos-kill-cycle"
-                   || arg == "--chaos-kill-attempt"
-                   || arg == "--chaos-stall-cycle"
-                   || arg == "--chaos-stall-ms"
-                   || arg == "--chaos-stall-attempt"
-                   || arg == "--heartbeat-ms") {
-            // Validated here, executed by the spawned workers.
-            if (auto r = uintFlag(arg, i, tmp); !r.ok())
-                return fail(r.error());
-            workerArgs.push_back(arg);
-            workerArgs.push_back(argv[i]);
-        } else if (arg == "--resume") {
-            if (++i >= argc)
-                return fail(Error{"--resume needs an artifact directory",
-                                  exit_code::usage});
-            artifactDir = argv[i];
-        } else if (arg == "--snap-every") {
-            if (++i >= argc)
-                return fail(Error{"--snap-every needs a cycle count",
-                                  exit_code::usage});
-            char *end = nullptr;
-            unsigned long long n = std::strtoull(argv[i], &end, 10);
-            if (end == argv[i] || *end != '\0' || n == 0)
-                return fail(Error{"bad --snap-every value '"
-                                      + std::string(argv[i])
-                                      + "' (want a positive cycle "
-                                        "count)",
-                                  exit_code::usage});
-            snapEvery = n;
-        } else if (arg == "-j") {
-            if (++i >= argc)
-                return fail(Error{"-j needs a thread count",
-                                  exit_code::usage});
-            char *end = nullptr;
-            unsigned long n = std::strtoul(argv[i], &end, 10);
-            if (end == argv[i] || *end != '\0' || n == 0)
-                return fail(Error{"bad -j value '"
-                                      + std::string(argv[i])
-                                      + "' (want a positive integer)",
-                                  exit_code::usage});
-            jobs = static_cast<unsigned>(n);
-        } else if (arg.rfind("-j", 0) == 0 && arg.size() > 2) {
-            return fail(Error{"write '-j N' with a space",
-                              exit_code::usage});
-        } else if (arg == "--json") {
-            if (++i >= argc)
-                return fail(Error{"--json needs an output path",
-                                  exit_code::usage});
-            jsonPath = argv[i];
-        } else if (arg == "--profile-cache") {
-            if (++i >= argc)
-                return fail(Error{"--profile-cache needs a directory",
-                                  exit_code::usage});
-            profileCache = argv[i];
-        } else if (arg == "--verify") {
-            forceVerify = true;
-        } else if (arg == "--quiet") {
-            quiet = true;
-        } else if (!arg.empty() && arg[0] == '-') {
-            return fail(Error{"unknown sweep option '" + arg
-                                  + "' (know -j, --json, --verify, "
-                                    "--quiet, --resume, --snap-every, "
-                                    "--profile-cache, "
-                                    "--distributed, --socket, "
-                                    "--lease-timeout-ms, "
-                                    "--max-attempts, --backoff-base-ms, "
-                                    "--backoff-max-ms, --chaos-*)",
-                              exit_code::usage});
-        } else if (manifest.empty()) {
-            manifest = arg;
-        } else {
-            return fail(Error{"more than one manifest given ('"
-                                  + manifest + "' and '" + arg + "')",
-                              exit_code::usage});
-        }
-    }
+    Options flags = brokerOptions(brokerOpts);
+    // Validated here, executed by the spawned workers.
+    svc::WorkerOptions forwarded;
+    for (auto &[name, opt] : workerOptions(forwarded))
+        flags[name] = {true, [&, apply = opt.apply](const std::string &flag,
+                                                    const char *text) {
+                           workerArgs.insert(workerArgs.end(), {flag, text});
+                           return apply(flag, text);
+                       }};
+    flags.insert({{"--distributed", num(distributed)},
+                    {"--socket", str(socketPath)},
+                    {"--resume", str(artifactDir)},
+                    {"--snap-every", num(snapEvery)},
+                    {"-j", num(jobs)},
+                    {"--json", str(jsonPath)},
+                    {"--profile-cache", str(profileCache)},
+                    {"--verify", on(forceVerify)},
+                    {"--quiet", on(quiet)}});
+    if (auto parsed = parseArgs(argc, argv, flags, oneFile(manifest));
+        !parsed.ok())
+        return fail(parsed.error());
     if (manifest.empty())
         return fail(Error{"usage: sstsim sweep <manifest> [-j N] "
                           "[--json FILE] [--verify] [--quiet] "
@@ -439,10 +392,11 @@ sweepMain(int argc, char **argv)
                           "checkpoints live in the artifact directory)",
                           exit_code::usage});
 
-    auto parsed = exp::SweepSpec::parseFile(manifest);
-    if (!parsed.ok())
-        return fail(parsed.error());
-    exp::SweepSpec spec = parsed.take();
+    std::string text;
+    auto loaded = exp::SweepSpec::parseFile(manifest, &text);
+    if (!loaded.ok())
+        return fail(loaded.error());
+    exp::SweepSpec spec = loaded.take();
 
     if (distributed) {
         // The broker ships the manifest *text* to workers, which
@@ -464,10 +418,6 @@ sweepMain(int argc, char **argv)
             return fail(Error{"--distributed needs --resume DIR (the "
                               "workers share artifacts there)",
                               exit_code::usage});
-        std::ifstream in(manifest);
-        std::stringstream ss;
-        ss << in.rdbuf();
-
         svc::ServeOptions so;
         so.socketPath = socketPath.empty()
                             ? artifactDir + "/broker.sock"
@@ -485,7 +435,7 @@ sweepMain(int argc, char **argv)
                         "workers (socket %s)\n",
                         spec.name.c_str(), spec.jobCount(), distributed,
                         so.socketPath.c_str());
-        return svc::serveSweep(spec, ss.str(), so);
+        return svc::serveSweep(spec, text, so);
     }
     if (forceVerify) {
         if (spec.sample)
@@ -556,79 +506,24 @@ sweepMain(int argc, char **argv)
     return code;
 }
 
-/**
- * `sstsim serve <manifest> --socket PATH --artifacts DIR
- *  [--snap-every N] [--json FILE] [--workers N] [--lease-timeout-ms N]
- *  [--max-attempts N] [--backoff-base-ms N] [--backoff-max-ms N]
- *  [--quiet]`
- * — run the sweep broker: lease the manifest's jobs to workers
- * (`sstsim work`) over a Unix socket. --workers N additionally spawns
- * and supervises N local workers (like sweep --distributed N).
- */
+/** `sstsim serve`: the sweep broker. --workers N also spawns and
+ *  supervises N local workers (like sweep --distributed N). */
 int
 serveMain(int argc, char **argv)
 {
     std::string manifest;
     svc::ServeOptions so;
-    std::uint64_t tmp = 0;
 
-    auto uintFlag = [&](const std::string &arg, int &i,
-                        std::uint64_t &out) {
-        if (i + 1 >= argc)
-            return Result<bool>(
-                Error{arg + " needs a value", exit_code::usage});
-        auto n = parseCount(arg.c_str(), argv[++i]);
-        if (!n.ok())
-            return Result<bool>(n.error());
-        out = n.value();
-        return Result<bool>(true);
-    };
-
-    for (int i = 2; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "--socket" || arg == "--artifacts"
-            || arg == "--json") {
-            if (++i >= argc)
-                return fail(
-                    Error{arg + " needs a path", exit_code::usage});
-            (arg == "--socket"      ? so.socketPath
-             : arg == "--artifacts" ? so.artifactDir
-                                    : so.jsonPath) = argv[i];
-        } else if (arg == "--snap-every") {
-            if (auto r = uintFlag(arg, i, so.snapEvery); !r.ok())
-                return fail(r.error());
-        } else if (arg == "--workers") {
-            if (auto r = uintFlag(arg, i, tmp); !r.ok())
-                return fail(r.error());
-            so.spawnWorkers = static_cast<unsigned>(tmp);
-        } else if (arg == "--lease-timeout-ms") {
-            if (auto r = uintFlag(arg, i, so.broker.leaseTimeoutMs);
-                !r.ok())
-                return fail(r.error());
-        } else if (arg == "--max-attempts") {
-            if (auto r = uintFlag(arg, i, tmp); !r.ok())
-                return fail(r.error());
-            so.broker.maxAttempts = static_cast<unsigned>(tmp);
-        } else if (arg == "--backoff-base-ms") {
-            if (auto r = uintFlag(arg, i, so.broker.backoffBaseMs);
-                !r.ok())
-                return fail(r.error());
-        } else if (arg == "--backoff-max-ms") {
-            if (auto r = uintFlag(arg, i, so.broker.backoffMaxMs);
-                !r.ok())
-                return fail(r.error());
-        } else if (arg == "--quiet") {
-            so.quiet = true;
-        } else if (!arg.empty() && arg[0] == '-') {
-            return fail(Error{"unknown serve option '" + arg + "'",
-                              exit_code::usage});
-        } else if (manifest.empty()) {
-            manifest = arg;
-        } else {
-            return fail(Error{"more than one manifest given",
-                              exit_code::usage});
-        }
-    }
+    Options flags = brokerOptions(so.broker);
+    flags.insert({{"--socket", str(so.socketPath)},
+                    {"--artifacts", str(so.artifactDir)},
+                    {"--json", str(so.jsonPath)},
+                    {"--snap-every", num(so.snapEvery)},
+                    {"--workers", num(so.spawnWorkers)},
+                    {"--quiet", on(so.quiet)}});
+    if (auto parsed = parseArgs(argc, argv, flags, oneFile(manifest));
+        !parsed.ok())
+        return fail(parsed.error());
     if (manifest.empty() || so.socketPath.empty()
         || so.artifactDir.empty())
         return fail(Error{"usage: sstsim serve <manifest> --socket "
@@ -638,81 +533,28 @@ serveMain(int argc, char **argv)
                           "[--backoff-base-ms N] [--backoff-max-ms N]",
                           exit_code::usage});
 
-    std::ifstream in(manifest);
-    if (!in)
-        return fail(Error{"cannot open '" + manifest + "'",
-                          exit_code::badInput});
-    std::stringstream ss;
-    ss << in.rdbuf();
-    auto parsed = exp::SweepSpec::parse(ss.str(), manifest);
-    if (!parsed.ok())
-        return fail(parsed.error());
-    return svc::serveSweep(parsed.value(), ss.str(), so);
+    std::string text;
+    auto loaded = exp::SweepSpec::parseFile(manifest, &text);
+    if (!loaded.ok())
+        return fail(loaded.error());
+    return svc::serveSweep(loaded.value(), text, so);
 }
 
-/**
- * `sstsim work --socket PATH [--name NAME] [--heartbeat-ms N]
- *  [--chaos-kill-cycle N] [--chaos-kill-attempt N]
- *  [--chaos-stall-cycle N] [--chaos-stall-ms N]
- *  [--chaos-stall-attempt N]`
- * — join a running broker as one worker process. The chaos flags
- * deterministically kill/stall this worker at a simulated cycle of a
- * leased job (test hooks; see fault/chaos.hh).
- */
+/** `sstsim work`: one worker process. The --chaos-* flags kill or
+ *  stall it at a simulated cycle of a leased job (fault/chaos.hh). */
 int
 workMain(int argc, char **argv)
 {
     svc::WorkerOptions wo;
-    std::uint64_t tmp = 0;
 
-    auto uintFlag = [&](const std::string &arg, int &i,
-                        std::uint64_t &out) {
-        if (i + 1 >= argc)
-            return Result<bool>(
-                Error{arg + " needs a value", exit_code::usage});
-        auto n = parseCount(arg.c_str(), argv[++i]);
-        if (!n.ok())
-            return Result<bool>(n.error());
-        out = n.value();
-        return Result<bool>(true);
-    };
-
-    for (int i = 2; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "--socket" || arg == "--name") {
-            if (++i >= argc)
-                return fail(
-                    Error{arg + " needs a value", exit_code::usage});
-            (arg == "--socket" ? wo.socketPath : wo.name) = argv[i];
-        } else if (arg == "--heartbeat-ms") {
-            if (auto r = uintFlag(arg, i, wo.heartbeatMs); !r.ok())
-                return fail(r.error());
-        } else if (arg == "--chaos-kill-cycle") {
-            if (auto r = uintFlag(arg, i, wo.chaosKillCycle); !r.ok())
-                return fail(r.error());
-        } else if (arg == "--chaos-kill-attempt") {
-            if (auto r = uintFlag(arg, i, tmp); !r.ok())
-                return fail(r.error());
-            wo.chaosKillAttempt = static_cast<unsigned>(tmp);
-        } else if (arg == "--chaos-stall-cycle") {
-            if (auto r = uintFlag(arg, i, wo.chaosStallCycle); !r.ok())
-                return fail(r.error());
-        } else if (arg == "--chaos-stall-ms") {
-            if (auto r = uintFlag(arg, i, tmp); !r.ok())
-                return fail(r.error());
-            wo.chaosStallMs = static_cast<unsigned>(tmp);
-        } else if (arg == "--chaos-stall-attempt") {
-            if (auto r = uintFlag(arg, i, tmp); !r.ok())
-                return fail(r.error());
-            wo.chaosStallAttempt = static_cast<unsigned>(tmp);
-        } else {
-            return fail(Error{"unknown work option '" + arg
-                                  + "' (usage: sstsim work --socket "
-                                    "PATH [--name NAME] "
-                                    "[--heartbeat-ms N] [--chaos-*])",
-                              exit_code::usage});
-        }
-    }
+    Options flags = workerOptions(wo);
+    flags.insert({{"--socket", str(wo.socketPath)}, {"--name", str(wo.name)}});
+    auto parsed = parseArgs(argc, argv, flags, [](const std::string &arg) {
+        return Result<void>(Error{"unexpected argument '" + arg + "'",
+                                  exit_code::usage});
+    });
+    if (!parsed.ok())
+        return fail(parsed.error());
     if (wo.socketPath.empty())
         return fail(Error{"usage: sstsim work --socket PATH "
                           "[--name NAME] [--heartbeat-ms N] [--chaos-*]",
@@ -720,116 +562,55 @@ workMain(int argc, char **argv)
     return svc::runWorker(wo);
 }
 
-/**
- * `sstsim cmp <preset> <shared-workload> [--json] [-j N]
- * [key=value...]` — -j runs the tick engine on N worker threads
- * (byte-identical results at any N; cmp.workers=N is the same knob).
- * run a shared-memory workload on a chip multiprocessor. The core
- * count comes from cmp.cores (falling back to the preset's size, then
- * 2). No golden check: a multi-threaded outcome is interleaving-
- * dependent, so correctness lives in tests/test_coherence.cc instead.
- */
+/** Exit code of a run that stopped before HALT. */
+int
+degradeExit(DegradeReason reason)
+{
+    return reason == DegradeReason::Livelock ? exit_code::livelock
+                                             : exit_code::cycleBudget;
+}
+
+/** `sstsim cmp`: -j N is cmp.workers=N. No golden check: a
+ *  multi-threaded outcome is interleaving-dependent, so correctness
+ *  lives in tests/test_coherence.cc instead. */
 int
 cmpMain(int argc, char **argv)
 {
-    std::string preset_name;
-    std::string workload_name;
     bool json = false;
-    Config cfg;
+    TargetArgs args;
+    unsigned workers = 0;
+    Option jobs = num(workers);
+    jobs.apply = [&, parse = jobs.apply](const std::string &flag,
+                                         const char *text) -> Result<void> {
+        if (auto r = parse(flag, text); !r.ok())
+            return r;
+        if (workers > kMaxCmpWorkers)
+            return Error{"-j " + std::to_string(workers)
+                             + " exceeds the worker cap of "
+                             + std::to_string(kMaxCmpWorkers),
+                         exit_code::usage};
+        args.cfg.set("cmp.workers", std::to_string(workers));
+        return {};
+    };
+    auto parsed = parseTargetArgs(
+        argc, argv,
+        "cmp <preset> <shared-workload> [--json] [-j N] [key=value...]",
+        {{"--json", on(json)}, {"-j", jobs}, {"--jobs", jobs}}, args);
+    if (!parsed.ok())
+        return fail(parsed.error());
+    auto resolved = args.resolve(args.cfg, exp::WorkloadSet::Shared);
+    if (!resolved.ok())
+        return fail(resolved.error());
+    const exp::RunTarget &target = resolved.value();
+    const MachineConfig &mc = target.machine;
+    json = json || args.cfg.getBool("json", false);
 
-    for (int i = 2; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "--json") {
-            json = true;
-        } else if (arg == "-j" || arg == "--jobs") {
-            if (++i >= argc)
-                return fail(Error{arg + " needs a worker count",
-                                  exit_code::usage});
-            auto n = parseCount("-j", argv[i]);
-            if (!n.ok())
-                return fail(n.error());
-            if (n.value() > kMaxCmpWorkers)
-                return fail(Error{
-                    "-j " + std::to_string(n.value())
-                        + " exceeds the worker cap of "
-                        + std::to_string(kMaxCmpWorkers),
-                    exit_code::usage});
-            cfg.set("cmp.workers", std::to_string(n.value()));
-        } else if (!arg.empty() && arg[0] == '-') {
-            return fail(Error{"unknown cmp option '" + arg
-                                  + "' (know --json, -j N)",
-                              exit_code::usage});
-        } else if (arg.find('=') != std::string::npos) {
-            auto parsed = cfg.tryParseAssignment(argv[i]);
-            if (!parsed.ok())
-                return fail(parsed.error());
-        } else if (preset_name.empty()) {
-            preset_name = arg;
-        } else if (workload_name.empty()) {
-            workload_name = arg;
-        } else {
-            return fail(Error{"unexpected argument '" + arg + "'",
-                              exit_code::usage});
-        }
-    }
-    if (preset_name.empty() || workload_name.empty())
-        return fail(Error{"usage: sstsim cmp <preset> "
-                          "<shared-workload> [--json] [-j N] "
-                          "[key=value...]",
-                          exit_code::usage});
-    if (auto valid = validateKeys(cfg); !valid.ok())
-        return fail(valid.error());
-
-    auto names = sharedWorkloadNames();
-    if (std::find(names.begin(), names.end(), workload_name)
-        == names.end()) {
-        std::string msg = "unknown shared workload '" + workload_name
-                          + "'";
-        std::string near = closestMatch(workload_name, names);
-        if (!near.empty())
-            msg += "; did you mean '" + near + "'?";
-        return fail(Error{msg, exit_code::usage});
-    }
-
-    auto preset = trapFatal([&] { return makePreset(preset_name); },
-                            exit_code::usage);
-    if (!preset.ok()) {
-        Error e = preset.error();
-        std::string near = closestMatch(preset_name, presetNames());
-        if (!near.empty())
-            e.message += "; did you mean '" + near + "'?";
-        e.message += " (preset=list shows all)";
-        return fail(e);
-    }
-    MachineConfig mc = preset.take();
-    if (auto applied = trapFatal([&] { applyOverrides(mc, cfg); });
-        !applied.ok())
-        return fail(applied.error());
-    // Shared workloads only make sense over shared memory: coherence
-    // defaults ON here whatever the preset says (an explicit
-    // coh.enabled=false still wins, and salts the cores apart).
-    if (!cfg.has("coh.enabled"))
-        mc.mem.coh.enabled = true;
-    json = json || cfg.getBool("json", false);
-    unsigned cores = mc.cmpCores ? mc.cmpCores : 2;
-
-    WorkloadParams wp;
-    wp.seed = cfg.getUint("seed", 42);
-    wp.lengthScale = cfg.getDouble("length_scale", 1.0);
-    wp.footprintScale = cfg.getDouble("footprint_scale", 1.0);
-    auto built = trapFatal(
-        [&] { return makeSharedWorkload(workload_name, cores, wp); },
-        exit_code::usage);
-    if (!built.ok())
-        return fail(built.error());
-    std::vector<Workload> workloads = built.take();
     std::vector<const Program *> programs;
-    for (const Workload &w : workloads)
+    for (const Workload &w : target.workloads)
         programs.push_back(&w.program);
-
     auto run = trapFatal([&] {
         Cmp cmp(mc, programs);
-        return cmp.run(cfg.getUint("max_cycles", 500'000'000ULL));
+        return cmp.run(target.options.maxCycles);
     });
     if (!run.ok())
         return fail(run.error());
@@ -840,7 +621,7 @@ cmpMain(int argc, char **argv)
                     "\"cores\": %u, \"coherent\": %s, \"cycles\": %llu, "
                     "\"insts\": %llu, \"aggregate_ipc\": %.6f, "
                     "\"finished\": %s, \"per_core_ipc\": [",
-                    mc.presetName.c_str(), workload_name.c_str(),
+                    mc.presetName.c_str(), args.workload.c_str(),
                     r.cores, mc.mem.coh.enabled ? "true" : "false",
                     static_cast<unsigned long long>(r.cycles),
                     static_cast<unsigned long long>(r.totalInsts),
@@ -849,7 +630,7 @@ cmpMain(int argc, char **argv)
             std::printf("%s%.6f", i ? ", " : "", r.perCoreIpc[i]);
         std::printf("]}\n");
     } else {
-        Table t("sstsim cmp: " + workload_name + " on " + mc.presetName
+        Table t("sstsim cmp: " + args.workload + " on " + mc.presetName
                 + (mc.mem.coh.enabled ? " (coherent)" : " (salted)"));
         t.setHeader({"metric", "value"});
         t.addRow({"cores", std::to_string(r.cores)});
@@ -863,101 +644,52 @@ cmpMain(int argc, char **argv)
                                          : degradeReasonName(r.degrade)});
         t.print();
     }
-    if (!r.finished)
-        return r.degrade == DegradeReason::Livelock
-                   ? exit_code::livelock
-                   : exit_code::cycleBudget;
-    return exit_code::ok;
+    return r.finished ? exit_code::ok : degradeExit(r.degrade);
 }
 
-/**
- * `sstsim trace <preset> <workload> [--out FILE] [--cpistack]
- * [--validate] [key=value...]` — run with the structured event ring
- * attached and export a Chrome trace_event JSON.
- */
+/** `sstsim trace`: a detailed run with the event ring attached. */
 int
 traceMain(int argc, char **argv)
 {
-    std::string preset_name;
-    std::string workload_name;
     std::string out_path = "trace.json";
     bool cpistack = false;
     bool validate = false;
-    Config cfg;
-
-    for (int i = 2; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "--out") {
-            if (++i >= argc)
-                return fail(Error{"--out needs a file path",
-                                  exit_code::usage});
-            out_path = argv[i];
-        } else if (arg == "--cpistack") {
-            cpistack = true;
-        } else if (arg == "--validate") {
-            validate = true;
-        } else if (!arg.empty() && arg[0] == '-') {
-            return fail(Error{"unknown trace option '" + arg
-                                  + "' (know --out, --cpistack, "
-                                    "--validate)",
-                              exit_code::usage});
-        } else if (arg.find('=') != std::string::npos) {
-            auto parsed = cfg.tryParseAssignment(argv[i]);
-            if (!parsed.ok())
-                return fail(parsed.error());
-        } else if (preset_name.empty()) {
-            preset_name = arg;
-        } else if (workload_name.empty()) {
-            workload_name = arg;
-        } else {
-            return fail(Error{"unexpected argument '" + arg + "'",
-                              exit_code::usage});
-        }
-    }
-    if (preset_name.empty() || workload_name.empty())
-        return fail(Error{"usage: sstsim trace <preset> <workload> "
-                          "[--out FILE] [--cpistack] [--validate] "
-                          "[key=value...]",
-                          exit_code::usage});
-    if (auto valid = validateKeys(cfg); !valid.ok())
-        return fail(valid.error());
-
-    std::string category;
-    Config load_cfg = cfg;
-    load_cfg.set("workload", workload_name);
-    auto loaded = loadProgram(load_cfg, category);
-    if (!loaded.ok())
-        return fail(loaded.error());
-    Program program = loaded.take();
-
-    auto preset = trapFatal([&] { return makePreset(preset_name); },
-                            exit_code::usage);
-    if (!preset.ok()) {
-        Error e = preset.error();
-        std::string near = closestMatch(preset_name, presetNames());
-        if (!near.empty())
-            e.message += "; did you mean '" + near + "'?";
-        e.message += " (preset=list shows all)";
-        return fail(e);
-    }
-    MachineConfig mc = preset.take();
-    if (auto applied = trapFatal([&] { applyOverrides(mc, cfg); });
-        !applied.ok())
-        return fail(applied.error());
+    TargetArgs args;
+    auto parsed = parseTargetArgs(
+        argc, argv,
+        "trace <preset> <workload> [--out FILE] [--cpistack] "
+        "[--validate] [key=value...]",
+        {{"--out", str(out_path)},
+         {"--cpistack", on(cpistack)},
+         {"--validate", on(validate)}},
+        args);
+    if (!parsed.ok())
+        return fail(parsed.error());
+    auto resolved = args.resolve(args.cfg);
+    if (!resolved.ok())
+        return fail(resolved.error());
+    const exp::RunTarget &target = resolved.value();
+    const MachineConfig &mc = target.machine;
+    const Program &program = target.program();
 
     trace::TraceBuffer buf;
-    Machine machine(mc, program);
-    machine.attachTraceBuffer(&buf);
-    RunResult r = machine.run(cfg.getUint("max_cycles", 500'000'000ULL));
+    exp::RunOptions options;
+    options.maxCycles = target.options.maxCycles;
+    options.onReady = [&buf](Machine &machine, const exp::RunOutcome &) {
+        machine.attachTraceBuffer(&buf);
+    };
+    auto ran = exp::executeRun(target, options);
+    if (!ran.ok())
+        return fail(ran.error());
+    const RunResult &r = ran.value().result;
+    Machine &machine = *ran.value().machine;
     if (!r.finished) {
         std::fprintf(stderr,
                      "sstsim trace: run degraded (%s) after %llu "
                      "cycles\n",
                      degradeReasonName(r.degrade),
                      static_cast<unsigned long long>(r.cycles));
-        return r.degrade == DegradeReason::Livelock
-                   ? exit_code::livelock
-                   : exit_code::cycleBudget;
+        return degradeExit(r.degrade);
     }
 
     // The attribution invariant: every cycle charged exactly once.
@@ -989,12 +721,12 @@ traceMain(int argc, char **argv)
     out.close();
 
     if (validate) {
-        auto parsed = exp::Json::parse(doc);
-        if (!parsed.ok())
+        auto json = exp::Json::parse(doc);
+        if (!json.ok())
             return fail(Error{"exported trace is not valid JSON: "
-                                  + parsed.error().message,
+                                  + json.error().message,
                               exit_code::archMismatch});
-        const exp::Json &root = parsed.take();
+        const exp::Json &root = json.take();
         if (!root.isObject() || !root.find("traceEvents")
             || !(*root.find("traceEvents")).isArray())
             return fail(Error{"exported trace lacks a traceEvents "
@@ -1022,169 +754,83 @@ traceMain(int argc, char **argv)
                 + mc.presetName);
         t.setHeader({"category", "cycles", "CPI", "share"});
         double insts = static_cast<double>(r.insts);
+        auto row = [&](const char *name, std::uint64_t v,
+                       const std::string &share) {
+            t.addRow({name, std::to_string(v),
+                      insts ? Table::num(static_cast<double>(v) / insts, 4)
+                            : "-",
+                      share});
+        };
         for (std::size_t i = 0; i < trace::numCpiCats; ++i) {
             auto cat = static_cast<trace::CpiCat>(i);
-            std::uint64_t v = stack.value(cat);
-            if (v == 0)
-                continue;
-            t.addRow({trace::cpiCatName(cat), std::to_string(v),
-                      insts ? Table::num(static_cast<double>(v) / insts,
-                                         4)
-                            : "-",
-                      cycles ? Table::num(100.0
-                                              * static_cast<double>(v)
-                                              / static_cast<double>(
-                                                  cycles),
-                                          1)
-                                   + "%"
-                             : "-"});
+            if (std::uint64_t v = stack.value(cat))
+                row(trace::cpiCatName(cat), v,
+                    cycles ? Table::num(100.0 * static_cast<double>(v)
+                                            / static_cast<double>(cycles),
+                                        1)
+                                 + "%"
+                           : "-");
         }
-        t.addRow({"total", std::to_string(total),
-                  insts ? Table::num(static_cast<double>(total) / insts,
-                                     4)
-                        : "-",
-                  "100.0%"});
+        row("total", total, "100.0%");
         t.print();
     }
     return exit_code::ok;
 }
 
-/**
- * `sstsim diff <preset> <workload> [--stride N] [--max-cycles N]
- * [--out PREFIX] [--a-fastfwd 0|1] [--b-fastfwd 0|1]
- * [--inject-cycle N] [--inject-addr A] [a:k=v | b:k=v | k=v ...]`
- * — lockstep state-hash comparison of two machines that should behave
- * identically; bisects to the first divergent cycle.
- */
+/** `sstsim diff`: each side is the bare keys merged with its own
+ *  a:/b: keys, resolved on its own. */
 int
 diffMain(int argc, char **argv)
 {
-    std::string preset_name;
-    std::string workload_name;
     snap::DiffOptions opt;
     opt.maxCycles = 20'000'000;
     opt.outPrefix = "diff";
+    TargetArgs args;
+    auto parsed = parseTargetArgs(
+        argc, argv,
+        "diff <preset> <workload> [--stride N] [--max-cycles N] "
+        "[--out PREFIX] [--a-fastfwd 0|1] [--b-fastfwd 0|1] "
+        "[--inject-cycle N] [--inject-addr A] [a:k=v | b:k=v | k=v ...]",
+        {{"--stride", num(opt.stride)},
+         {"--max-cycles", num(opt.maxCycles, true)},
+         {"--inject-cycle", num(opt.injectCycle, true)},
+         {"--inject-addr", num(opt.injectAddr, true)},
+         {"--a-fastfwd", num(opt.fastfwdA, true)},
+         {"--b-fastfwd", num(opt.fastfwdB, true)},
+         {"--out", str(opt.outPrefix)}},
+        args);
+    if (!parsed.ok())
+        return fail(parsed.error());
+    // "a:k=v" / "b:k=v" parsed as keys "a:k" / "b:k": split the sides.
     Config shared, onlyA, onlyB;
-
-    auto uintArg = [&](int &i, const char *what,
-                       std::uint64_t &out) -> Result<void> {
-        if (++i >= argc)
-            return Error{std::string(what) + " needs a value",
-                         exit_code::usage};
-        char *end = nullptr;
-        unsigned long long n = std::strtoull(argv[i], &end, 10);
-        if (end == argv[i] || *end != '\0')
-            return Error{std::string("bad ") + what + " value '"
-                             + argv[i] + "'",
-                         exit_code::usage};
-        out = n;
-        return {};
-    };
-
-    for (int i = 2; i < argc; ++i) {
-        std::string arg = argv[i];
-        Result<void> parsed = {};
-        std::uint64_t n = 0;
-        if (arg == "--stride") {
-            if (parsed = uintArg(i, "--stride", n); parsed.ok()) {
-                if (n == 0)
-                    return fail(Error{"--stride must be positive",
-                                      exit_code::usage});
-                opt.stride = n;
-            }
-        } else if (arg == "--max-cycles") {
-            if (parsed = uintArg(i, "--max-cycles", n); parsed.ok())
-                opt.maxCycles = n;
-        } else if (arg == "--inject-cycle") {
-            if (parsed = uintArg(i, "--inject-cycle", n); parsed.ok())
-                opt.injectCycle = n;
-        } else if (arg == "--inject-addr") {
-            if (parsed = uintArg(i, "--inject-addr", n); parsed.ok())
-                opt.injectAddr = n;
-        } else if (arg == "--a-fastfwd") {
-            if (parsed = uintArg(i, "--a-fastfwd", n); parsed.ok())
-                opt.fastfwdA = n != 0;
-        } else if (arg == "--b-fastfwd") {
-            if (parsed = uintArg(i, "--b-fastfwd", n); parsed.ok())
-                opt.fastfwdB = n != 0;
-        } else if (arg == "--out") {
-            if (++i >= argc)
-                return fail(Error{"--out needs a path prefix",
-                                  exit_code::usage});
-            opt.outPrefix = argv[i];
-        } else if (!arg.empty() && arg[0] == '-') {
-            return fail(Error{"unknown diff option '" + arg
-                                  + "' (know --stride, --max-cycles, "
-                                    "--out, --a-fastfwd, --b-fastfwd, "
-                                    "--inject-cycle, --inject-addr)",
-                              exit_code::usage});
-        } else if (arg.find('=') != std::string::npos) {
-            Config *target = &shared;
-            std::string assignment = arg;
-            if (arg.rfind("a:", 0) == 0) {
-                target = &onlyA;
-                assignment = arg.substr(2);
-            } else if (arg.rfind("b:", 0) == 0) {
-                target = &onlyB;
-                assignment = arg.substr(2);
-            }
-            if (auto p = target->tryParseAssignment(assignment); !p.ok())
-                return fail(p.error());
-        } else if (preset_name.empty()) {
-            preset_name = arg;
-        } else if (workload_name.empty()) {
-            workload_name = arg;
-        } else {
-            return fail(Error{"unexpected argument '" + arg + "'",
-                              exit_code::usage});
-        }
-        if (!parsed.ok())
-            return fail(parsed.error());
+    for (const auto &[key, value] : args.cfg.items()) {
+        bool sided = key.rfind("a:", 0) == 0 || key.rfind("b:", 0) == 0;
+        Config &side = !sided ? shared : key[0] == 'a' ? onlyA : onlyB;
+        side.set(sided ? key.substr(2) : key, value);
     }
-    if (preset_name.empty() || workload_name.empty())
-        return fail(Error{"usage: sstsim diff <preset> <workload> "
-                          "[--stride N] [--max-cycles N] [--out PREFIX] "
-                          "[--a-fastfwd 0|1] [--b-fastfwd 0|1] "
-                          "[--inject-cycle N] [--inject-addr A] "
-                          "[a:k=v | b:k=v | k=v ...]",
-                          exit_code::usage});
 
-    std::string category;
-    Config load_cfg = shared;
-    load_cfg.set("workload", workload_name);
-    auto loaded = loadProgram(load_cfg, category);
-    if (!loaded.ok())
-        return fail(loaded.error());
-    Program program = loaded.take();
-
-    auto makeSide = [&](const Config &side) {
-        return trapFatal(
-            [&] {
-                MachineConfig mc = makePreset(preset_name);
-                Config cfg = shared;
-                for (const auto &kv : side.items())
-                    cfg.set(kv.first, kv.second);
-                applyOverrides(mc, cfg);
-                return mc;
-            },
-            exit_code::usage);
+    auto resolveSide = [&](const Config &only) {
+        Config merged = shared;
+        merged.merge(only);
+        return args.resolve(merged);
     };
-    auto mcA = makeSide(onlyA);
-    if (!mcA.ok())
-        return fail(mcA.error());
-    auto mcB = makeSide(onlyB);
-    if (!mcB.ok())
-        return fail(mcB.error());
+    auto sideA = resolveSide(onlyA);
+    if (!sideA.ok())
+        return fail(sideA.error());
+    auto sideB = resolveSide(onlyB);
+    if (!sideB.ok())
+        return fail(sideB.error());
 
-    Machine a(mcA.take(), program);
-    Machine b(mcB.take(), program);
+    const Program &program = sideA.value().program();
+    Machine a(sideA.value().machine, program);
+    Machine b(sideB.value().machine, sideB.value().program());
     snap::DiffReport rep = snap::diffMachines(a, b, opt);
 
     if (!rep.diverged) {
         std::printf("diff: %s/%s no divergence over %llu cycles "
                     "(%llu compare points, A %s at %llu, B %s at "
                     "%llu)\n",
-                    preset_name.c_str(), program.name().c_str(),
+                    args.preset.c_str(), program.name().c_str(),
                     static_cast<unsigned long long>(
                         std::max(rep.cyclesA, rep.cyclesB)),
                     static_cast<unsigned long long>(rep.comparedPoints),
@@ -1197,7 +843,7 @@ diffMain(int argc, char **argv)
 
     std::printf("diff: %s/%s DIVERGED at cycle %llu "
                 "(hash A %016llx != B %016llx)\n",
-                preset_name.c_str(), program.name().c_str(),
+                args.preset.c_str(), program.name().c_str(),
                 static_cast<unsigned long long>(rep.firstDivergentCycle),
                 static_cast<unsigned long long>(rep.hashA),
                 static_cast<unsigned long long>(rep.hashB));
@@ -1207,113 +853,32 @@ diffMain(int argc, char **argv)
     return exit_code::diverged;
 }
 
-/**
- * `sstsim profile <preset> <workload> [--cache DIR] [--regions N]
- * [--region-insts N] [key=value ...]` — fast-forward the workload once
- * and build (or refresh) its warm-state region snapshot library, so
- * later sampled or warm_start= runs of the same identity start
- * instantly. With --cache the library is persisted under DIR (the
- * entry sampled sweeps and warm_start= look up); without it the pass
- * just reports what it would snapshot.
- */
+/** `sstsim profile`: build (or look up) the target's library; without
+ *  --cache it is built in memory and only reported. */
 int
 profileMain(int argc, char **argv)
 {
-    std::string preset_name;
-    std::string workload_name;
     std::string cacheDir;
     ProfileParams pp;
-    Config cfg;
+    TargetArgs args;
+    auto parsed = parseTargetArgs(
+        argc, argv,
+        "profile <preset> <workload> [--cache DIR] [--regions N] "
+        "[--region-insts N] [key=value ...]",
+        {{"--cache", str(cacheDir)},
+         {"--regions", num(pp.maxRegions, true)},
+         {"--region-insts", num(pp.regionInsts)}},
+        args);
+    if (!parsed.ok())
+        return fail(parsed.error());
+    auto resolved = args.resolve(args.cfg);
+    if (!resolved.ok())
+        return fail(resolved.error());
+    const exp::RunTarget &target = resolved.value();
+    const MachineConfig &mc = target.machine;
+    const Program &program = target.program();
 
-    for (int i = 2; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "--cache") {
-            if (++i >= argc)
-                return fail(Error{"--cache needs a directory",
-                                  exit_code::usage});
-            cacheDir = argv[i];
-        } else if (arg == "--regions") {
-            if (++i >= argc)
-                return fail(Error{"--regions needs a value",
-                                  exit_code::usage});
-            auto n = parseCount("--regions", argv[i], true);
-            if (!n.ok())
-                return fail(n.error());
-            pp.maxRegions = static_cast<unsigned>(n.value());
-        } else if (arg == "--region-insts") {
-            if (++i >= argc)
-                return fail(Error{"--region-insts needs a value",
-                                  exit_code::usage});
-            auto n = parseCount("--region-insts", argv[i]);
-            if (!n.ok())
-                return fail(n.error());
-            pp.regionInsts = n.value();
-        } else if (!arg.empty() && arg[0] == '-') {
-            return fail(Error{"unknown profile option '" + arg
-                                  + "' (know --cache, --regions, "
-                                    "--region-insts)",
-                              exit_code::usage});
-        } else if (arg.find('=') != std::string::npos) {
-            if (auto p = cfg.tryParseAssignment(arg); !p.ok())
-                return fail(p.error());
-        } else if (preset_name.empty()) {
-            preset_name = arg;
-        } else if (workload_name.empty()) {
-            workload_name = arg;
-        } else {
-            return fail(Error{"unexpected argument '" + arg + "'",
-                              exit_code::usage});
-        }
-    }
-    if (preset_name.empty() || workload_name.empty())
-        return fail(Error{"usage: sstsim profile <preset> <workload> "
-                          "[--cache DIR] [--regions N] "
-                          "[--region-insts N] [key=value ...]",
-                          exit_code::usage});
-
-    std::string category;
-    Config load_cfg = cfg;
-    load_cfg.set("workload", workload_name);
-    auto loaded = loadProgram(load_cfg, category);
-    if (!loaded.ok())
-        return fail(loaded.error());
-    Program program = loaded.take();
-
-    auto made = trapFatal(
-        [&] {
-            MachineConfig mc = makePreset(preset_name);
-            applyOverrides(mc, cfg);
-            return mc;
-        },
-        exit_code::usage);
-    if (!made.ok()) {
-        Error e = made.error();
-        std::string near = closestMatch(preset_name, presetNames());
-        if (!near.empty())
-            e.message += "; did you mean '" + near + "'?";
-        return fail(e);
-    }
-    MachineConfig mc = made.take();
-
-    if (pp.regionInsts == 0) {
-        // Resolve the auto stride here (it is part of the cache key):
-        // one functional counting pass, then the same hint sampled
-        // sweeps use.
-        MemoryImage countMem;
-        countMem.loadSegments(program);
-        Executor counter(program, countMem);
-        ArchState countState;
-        std::uint64_t n = counter.run(countState, pp.maxInsts);
-        if (!countState.halted)
-            return fail(Error{"program does not halt functionally "
-                              "within the profiling budget",
-                              exit_code::badInput});
-        pp.regionInsts = profileRegionHint(n);
-    }
-
-    std::uint64_t configHash = memConfigHash(mc, cfg);
-    auto built =
-        ensureProfileLibrary(mc, program, pp, cacheDir, configHash);
+    auto built = exp::targetLibrary(target, pp, cacheDir);
     if (!built.ok())
         return fail(built.error());
     const ProfileLibrary &lib = built.value();
@@ -1333,11 +898,52 @@ profileMain(int argc, char **argv)
     if (!cacheDir.empty())
         std::printf("profile: library cached under '%s'\n",
                     profileCacheDir(cacheDir, mc, program, pp,
-                                    configHash)
+                                    target.configHash())
                         .c_str());
     else
         std::printf("profile: no --cache given; library built in "
                     "memory and discarded\n");
+    return exit_code::ok;
+}
+
+/** A sampled run's one-line (or JSON) estimate. */
+int
+printSampled(const exp::RunTarget &target, bool fromLibrary,
+             const SampledResult &r, bool json)
+{
+    const std::string &preset = target.machine.presetName;
+    const std::string &workload = target.program().name();
+    if (json) {
+        std::string j = "{\"mode\":\"sampled\"";
+        j += ",\"preset\":\"" + jsonEscape(preset) + '"';
+        j += ",\"workload\":\"" + jsonEscape(workload) + '"';
+        j += std::string(",\"from_library\":")
+             + (fromLibrary ? "true" : "false");
+        j += ",\"ipc\":" + jsonNumber(r.ipc);
+        j += ",\"windows\":" + std::to_string(r.windowIpc.size());
+        j += ",\"ipc_stddev\":" + jsonNumber(r.ipcStddev());
+        j += ",\"ipc_ci95\":" + jsonNumber(r.ipcCi95());
+        j += ",\"detailed_insts\":" + std::to_string(r.detailedInsts);
+        j += ",\"skipped_insts\":" + std::to_string(r.skippedInsts);
+        j += ",\"warm_accesses\":" + std::to_string(r.warmAccesses);
+        j += ",\"warm_hits\":" + std::to_string(r.warmHits);
+        j += std::string(",\"reached_end\":")
+             + (r.reachedEnd ? "true" : "false");
+        j += "}\n";
+        std::fputs(j.c_str(), stdout);
+        return exit_code::ok;
+    }
+    std::printf("sampled: preset=%s workload=%s ipc=%.4f "
+                "windows=%zu stddev=%.4f ci95=%.4f warm=%llu/%llu "
+                "detail=%llu skip=%llu%s%s\n",
+                preset.c_str(), workload.c_str(), r.ipc,
+                r.windowIpc.size(), r.ipcStddev(), r.ipcCi95(),
+                static_cast<unsigned long long>(r.warmHits),
+                static_cast<unsigned long long>(r.warmAccesses),
+                static_cast<unsigned long long>(r.detailedInsts),
+                static_cast<unsigned long long>(r.skippedInsts),
+                fromLibrary ? " (library)" : "",
+                r.reachedEnd ? "" : " (budget)");
     return exit_code::ok;
 }
 
@@ -1346,20 +952,14 @@ profileMain(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    if (argc >= 2 && std::string(argv[1]) == "profile")
-        return profileMain(argc, argv);
-    if (argc >= 2 && std::string(argv[1]) == "sweep")
-        return sweepMain(argc, argv);
-    if (argc >= 2 && std::string(argv[1]) == "serve")
-        return serveMain(argc, argv);
-    if (argc >= 2 && std::string(argv[1]) == "work")
-        return workMain(argc, argv);
-    if (argc >= 2 && std::string(argv[1]) == "cmp")
-        return cmpMain(argc, argv);
-    if (argc >= 2 && std::string(argv[1]) == "trace")
-        return traceMain(argc, argv);
-    if (argc >= 2 && std::string(argv[1]) == "diff")
-        return diffMain(argc, argv);
+    static const std::map<std::string, int (*)(int, char **)> subcommands =
+        {{"profile", profileMain}, {"sweep", sweepMain},
+         {"serve", serveMain},     {"work", workMain},
+         {"cmp", cmpMain},         {"trace", traceMain},
+         {"diff", diffMain}};
+    if (argc >= 2)
+        if (auto it = subcommands.find(argv[1]); it != subcommands.end())
+            return it->second(argc, argv);
 
     Config cfg;
     for (int i = 1; i < argc; ++i) {
@@ -1368,187 +968,47 @@ main(int argc, char **argv)
             return fail(parsed.error());
     }
     setVerbose(false);
+    for (const char *key : {"preset", "workload"})
+        if (cfg.getString(key, "") == "list")
+            listAndExit();
 
-    std::string preset_name = cfg.getString("preset", "sst2");
-    if (preset_name == "list")
-        listAndExit();
+    auto resolved = exp::resolveRun(cfg);
+    if (!resolved.ok())
+        return fail(resolved.error());
+    const exp::RunTarget &target = resolved.value();
+    const MachineConfig &mc = target.machine;
+    const Program &program = target.program();
 
-    if (auto valid = validateKeys(cfg); !valid.ok())
-        return fail(valid.error());
-
-    std::string category;
-    auto loaded = loadProgram(cfg, category);
-    if (!loaded.ok())
-        return fail(loaded.error());
-    Program program = loaded.take();
-
-    auto preset = trapFatal([&] { return makePreset(preset_name); },
-                            exit_code::usage);
-    if (!preset.ok()) {
-        Error e = preset.error();
-        std::string near = closestMatch(preset_name, presetNames());
-        if (!near.empty())
-            e.message += "; did you mean '" + near + "'?";
-        e.message += " (preset=list shows all)";
-        return fail(e);
-    }
-    MachineConfig mc = preset.take();
-    if (auto applied =
-            trapFatal([&] { applyOverrides(mc, cfg); });
-        !applied.ok())
-        return fail(applied.error());
-
-    if (cfg.getBool("sample", false)) {
-        SampleParams sp;
-        sp.detailInsts = cfg.getUint("detail", 20000);
-        sp.skipInsts = cfg.getUint("skip", 80000);
-        std::string cacheDir = cfg.getString("profile_cache", "");
-        std::uint64_t regionInsts = cfg.getUint("region_insts", 0);
-        bool fromLibrary = !cacheDir.empty() || regionInsts != 0;
-
-        SampledResult r;
-        if (fromLibrary) {
-            // Serve the windows from a checkpoint-warmed snapshot
-            // library instead of fast-forwarding from cycle 0.
-            ProfileParams pp;
-            pp.maxRegions = static_cast<unsigned>(
-                cfg.getUint("regions", 8));
-            if (regionInsts) {
-                pp.regionInsts = regionInsts;
-            } else {
-                MemoryImage countMem;
-                countMem.loadSegments(program);
-                Executor counter(program, countMem);
-                ArchState countState;
-                std::uint64_t n =
-                    counter.run(countState, 2'000'000'000ULL);
-                if (!countState.halted)
-                    return fail(
-                        Error{"program does not halt functionally",
-                              exit_code::badInput});
-                pp.regionInsts = profileRegionHint(n);
-            }
-            std::uint64_t configHash = memConfigHash(mc, cfg);
-            auto library = ensureProfileLibrary(mc, program, pp,
-                                                cacheDir, configHash);
-            if (!library.ok())
-                return fail(library.error());
-            auto sampled = trapFatal([&] {
-                return runSampledFromLibrary(mc, program,
-                                             library.value(), sp);
+    exp::RunOptions options = target.options;
+    bool traceOn = cfg.getBool("trace", false);
+    options.onReady = [&](Machine &machine, const exp::RunOutcome &run) {
+        if (traceOn)
+            machine.core().setTraceSink([](const std::string &line) {
+                std::fprintf(stderr, "%s\n", line.c_str());
             });
-            if (!sampled.ok())
-                return fail(sampled.error());
-            r = sampled.take();
-        } else {
-            r = runSampled(mc, program, sp);
-        }
+        if (!options.resume.empty())
+            std::fprintf(stderr,
+                         "sstsim: resumed from '%s' at cycle %llu\n",
+                         options.resume.c_str(),
+                         static_cast<unsigned long long>(
+                             machine.core().cycles()));
+        if (options.warmStart)
+            std::fprintf(stderr,
+                         "sstsim: warm-started at instruction %llu "
+                         "(cycle %llu) from the profile library\n",
+                         static_cast<unsigned long long>(run.warmSkipped),
+                         static_cast<unsigned long long>(
+                             machine.core().cycles()));
+    };
+    auto ran = exp::executeRun(target, options);
+    if (!ran.ok())
+        return fail(ran.error());
+    const exp::RunOutcome &run = ran.value();
+    if (options.sample)
+        return printSampled(target, options.fromLibrary, run.sample,
+                            cfg.getBool("json", false));
 
-        if (cfg.getBool("json", false)) {
-            std::string j = "{\"mode\":\"sampled\"";
-            j += ",\"preset\":\"" + jsonEscape(mc.presetName) + '"';
-            j += ",\"workload\":\"" + jsonEscape(program.name()) + '"';
-            j += std::string(",\"from_library\":")
-                 + (fromLibrary ? "true" : "false");
-            j += ",\"ipc\":" + jsonNumber(r.ipc);
-            j += ",\"windows\":" + std::to_string(r.windowIpc.size());
-            j += ",\"ipc_stddev\":" + jsonNumber(r.ipcStddev());
-            j += ",\"ipc_ci95\":" + jsonNumber(r.ipcCi95());
-            j += ",\"detailed_insts\":"
-                 + std::to_string(r.detailedInsts);
-            j += ",\"skipped_insts\":" + std::to_string(r.skippedInsts);
-            j += ",\"warm_accesses\":" + std::to_string(r.warmAccesses);
-            j += ",\"warm_hits\":" + std::to_string(r.warmHits);
-            j += std::string(",\"reached_end\":")
-                 + (r.reachedEnd ? "true" : "false");
-            j += "}\n";
-            std::fputs(j.c_str(), stdout);
-            return exit_code::ok;
-        }
-        std::printf("sampled: preset=%s workload=%s ipc=%.4f "
-                    "windows=%zu stddev=%.4f ci95=%.4f warm=%llu/%llu "
-                    "detail=%llu skip=%llu%s%s\n",
-                    mc.presetName.c_str(), program.name().c_str(), r.ipc,
-                    r.windowIpc.size(), r.ipcStddev(), r.ipcCi95(),
-                    static_cast<unsigned long long>(r.warmHits),
-                    static_cast<unsigned long long>(r.warmAccesses),
-                    static_cast<unsigned long long>(r.detailedInsts),
-                    static_cast<unsigned long long>(r.skippedInsts),
-                    fromLibrary ? " (library)" : "",
-                    r.reachedEnd ? "" : " (budget)");
-        return exit_code::ok;
-    }
-
-    // Golden reference.
-    MemoryImage golden_mem;
-    golden_mem.loadSegments(program);
-    Executor golden(program, golden_mem);
-    ArchState golden_state;
-    std::uint64_t golden_insts = golden.run(golden_state, 2'000'000'000ULL);
-    if (!golden_state.halted)
-        return fail(Error{"program does not halt functionally",
-                          exit_code::badInput});
-
-    Machine machine(mc, program);
-    if (cfg.getBool("trace", false))
-        machine.core().setTraceSink([](const std::string &line) {
-            std::fprintf(stderr, "%s\n", line.c_str());
-        });
-
-    std::string resume_path = cfg.getString("resume", "");
-    if (!resume_path.empty() && !cfg.getString("warm_start", "").empty())
-        return fail(Error{"warm_start= cannot combine with resume= "
-                          "(both pick the starting state)",
-                          exit_code::usage});
-    if (!resume_path.empty()) {
-        auto restored = machine.restoreFromFile(resume_path);
-        if (!restored.ok())
-            return fail(restored.error());
-        std::fprintf(stderr, "sstsim: resumed from '%s' at cycle %llu\n",
-                     resume_path.c_str(),
-                     static_cast<unsigned long long>(
-                         machine.core().cycles()));
-    }
-
-    // warm_start=N: skip the program's first N-ish instructions by
-    // restoring the profile-library member nearest below N (building
-    // the library on first use). The golden cross-check still holds —
-    // the warm prefix ran on the same golden executor — with the
-    // retired-instruction count adjusted by the member's offset.
-    std::uint64_t warmSkipped = 0;
-    std::string warm_key = cfg.getString("warm_start", "");
-    if (!warm_key.empty()) {
-        auto target = parseCount("warm_start", warm_key.c_str(), true);
-        if (!target.ok())
-            return fail(target.error());
-        ProfileParams pp;
-        pp.maxRegions =
-            static_cast<unsigned>(cfg.getUint("regions", 8));
-        pp.regionInsts = cfg.getUint("region_insts", 0);
-        if (pp.regionInsts == 0)
-            pp.regionInsts = profileRegionHint(golden_insts);
-        auto library = ensureProfileLibrary(
-            mc, program, pp, cfg.getString("profile_cache", ""),
-            memConfigHash(mc, cfg));
-        if (!library.ok())
-            return fail(library.error());
-        auto warmed = warmStartMachine(machine, library.value(),
-                                       target.value(), &warmSkipped);
-        if (!warmed.ok())
-            return fail(warmed.error());
-        std::fprintf(stderr,
-                     "sstsim: warm-started at instruction %llu "
-                     "(cycle %llu) from the profile library\n",
-                     static_cast<unsigned long long>(warmSkipped),
-                     static_cast<unsigned long long>(
-                         machine.core().cycles()));
-    }
-    SnapPolicy snap;
-    snap.everyCycles = cfg.getUint("snap_every", 0);
-    snap.path = cfg.getString("snap_out", "sstsim.snap");
-
-    RunResult r = machine.run(cfg.getUint("max_cycles", 500'000'000ULL),
-                              snap);
+    const RunResult &r = run.result;
     if (!r.finished) {
         std::fprintf(stderr,
                      "sstsim: run degraded (%s) after %llu cycles, "
@@ -1556,14 +1016,10 @@ main(int argc, char **argv)
                      degradeReasonName(r.degrade),
                      static_cast<unsigned long long>(r.cycles),
                      static_cast<unsigned long long>(r.insts));
-        return r.degrade == DegradeReason::Livelock
-                   ? exit_code::livelock
-                   : exit_code::cycleBudget;
+        return degradeExit(r.degrade);
     }
-
-    bool arch_ok = machine.core().archState().regsEqual(golden_state)
-                   && machine.image().contentEquals(golden_mem)
-                   && r.insts == golden_insts - warmSkipped;
+    Machine &machine = *run.machine;
+    bool arch_ok = run.archOk;
 
     if (cfg.getBool("json", false)) {
         std::fputs(machine.core().stats().dumpJson().c_str(), stdout);
@@ -1576,8 +1032,8 @@ main(int argc, char **argv)
     };
 
     std::string stats_depth = cfg.getString("stats", "summary");
-    Table t("sstsim: " + program.name() + " (" + category + ") on "
-            + mc.presetName);
+    Table t("sstsim: " + program.name() + " ("
+            + target.workloads.front().category + ") on " + mc.presetName);
     t.setHeader({"metric", "value"});
     t.addRow({"cycles", std::to_string(r.cycles)});
     t.addRow({"instructions", std::to_string(r.insts)});
