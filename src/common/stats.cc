@@ -1,5 +1,6 @@
 #include "common/stats.hh"
 
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -85,24 +86,17 @@ Distribution::init(std::uint64_t max, unsigned buckets)
     width_ = (max + buckets - 1) / buckets;
     if (width_ == 0)
         width_ = 1;
-}
-
-void
-Distribution::sample(std::uint64_t v)
-{
-    ++count_;
-    sum_ += v;
-    if (v > maxSample_)
-        maxSample_ = v;
-    if (buckets_.empty()) {
-        ++overflow_;
-        return;
+    limit_ = width_ * buckets;
+    magic_ = 0;
+    shift_ = 64; // divide
+    if (std::has_single_bit(width_)) {
+        shift_ = static_cast<unsigned>(std::countr_zero(width_));
+    } else if (limit_ <= (std::uint64_t{1} << 32)) {
+        // floor(v / w) == (M * v) >> 64 with M = floor((2^64 - 1) / w)
+        // + 1 for every v, w < 2^32 (Lemire, Kaser and Kurz, "Faster
+        // remainder by direct computation", 2019).
+        magic_ = ~std::uint64_t{0} / width_ + 1;
     }
-    std::uint64_t idx = v / width_;
-    if (idx >= buckets_.size())
-        ++overflow_;
-    else
-        ++buckets_[idx];
 }
 
 void
@@ -114,15 +108,10 @@ Distribution::sample(std::uint64_t v, std::uint64_t n)
     sum_ += v * n;
     if (v > maxSample_)
         maxSample_ = v;
-    if (buckets_.empty()) {
-        overflow_ += n;
-        return;
-    }
-    std::uint64_t idx = v / width_;
-    if (idx >= buckets_.size())
+    if (v >= limit_)
         overflow_ += n;
     else
-        buckets_[idx] += n;
+        buckets_[bucketOf(v)] += n;
 }
 
 double

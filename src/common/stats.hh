@@ -64,7 +64,17 @@ class Distribution
     /** Configure @p buckets equal-width buckets over [0, max). */
     void init(std::uint64_t max, unsigned buckets);
 
-    void sample(std::uint64_t v);
+    void sample(std::uint64_t v)
+    {
+        ++count_;
+        sum_ += v;
+        if (v > maxSample_)
+            maxSample_ = v;
+        if (v >= limit_)
+            ++overflow_;
+        else
+            ++buckets_[bucketOf(v)];
+    }
 
     /** Record @p v as @p n identical samples in O(1) — exactly
      *  equivalent to calling sample(v) n times (fast-forwarded stall
@@ -88,10 +98,29 @@ class Distribution
     template <class Io> void io(Io &s);
 
   private:
+    /** v / width_ for v < limit_, without a 64-bit divide: a shift for
+     *  power-of-two widths, else Lemire's exact 32-bit reciprocal
+     *  (limit_ <= 2^32 whenever magic_ is set). Only a non-power-of-two
+     *  width over a range past 2^32 divides. */
+    std::uint64_t bucketOf(std::uint64_t v) const
+    {
+        if (magic_)
+            return static_cast<std::uint64_t>(
+                (static_cast<unsigned __int128>(magic_) * v) >> 64);
+        if (shift_ < 64)
+            return v >> shift_;
+        return v / width_;
+    }
+
     std::vector<std::uint64_t> buckets_;
     /** 0 until init(): an uninitialised distribution reports
      *  bucket_width 0 and an empty bucket array. */
     std::uint64_t width_ = 0;
+    /** width_ * buckets: samples at or above it overflow (0 until
+     *  init(), so every sample overflows). */
+    std::uint64_t limit_ = 0;
+    unsigned shift_ = 64;
+    std::uint64_t magic_ = 0;
     std::uint64_t count_ = 0;
     std::uint64_t sum_ = 0;
     std::uint64_t overflow_ = 0;

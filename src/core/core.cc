@@ -43,21 +43,6 @@ Core::Core(const CoreParams &params, const Program &program,
     stats_.addChild(port.stats());
 }
 
-void
-Core::tick()
-{
-    if (arch_.halted)
-        return;
-    std::uint64_t before = committed_.value();
-    stallCat_ = trace::CpiCat::Other;
-    blocked_.release = kWakeNever;
-    blocked_.counter = nullptr;
-    cycle();
-    accountCycle(committed_.value() - before);
-    ++now_;
-    ++cyclesStat_;
-}
-
 Cycle
 Core::nextWakeCycle() const
 {
@@ -159,13 +144,16 @@ Core::io(Io &s)
 template void Core::io(snap::Writer &);
 template void Core::io(snap::Reader &);
 
-Cycle
-Core::fetchReady(std::uint64_t pc)
+void
+Core::recordEvent(trace::TraceKind kind, trace::TraceStrand strand,
+                  std::uint64_t pc, SeqNum seq, std::uint32_t arg)
 {
-    Addr addr = program_.instAddr(pc);
-    Addr line = port_.l1i().lineAddr(addr);
-    if (line == lastFetchLine_)
-        return fetchLineReady_;
+    traceBuf_->record(trace::TraceEvent{now_, pc, seq, arg, kind, strand});
+}
+
+Cycle
+Core::fetchNewLine(std::uint64_t pc, Addr addr, Addr line)
+{
     auto res = port_.access(AccessType::InstFetch, addr, now_);
     if (res.rejected) {
         // Structural fetch stall: don't cache the line state so the

@@ -96,7 +96,19 @@ class Core
     Core &operator=(const Core &) = delete;
 
     /** Advance one clock cycle. */
-    void tick();
+    void tick()
+    {
+        if (arch_.halted)
+            return;
+        std::uint64_t before = committed_.value();
+        stallCat_ = trace::CpiCat::Other;
+        blocked_.release = kWakeNever;
+        blocked_.counter = nullptr;
+        cycle();
+        accountCycle(committed_.value() - before);
+        ++now_;
+        ++cyclesStat_;
+    }
 
     /** nextWakeCycle(): "this cycle" — the core can act right now, so
      *  the run loop must tick it naively. */
@@ -219,9 +231,8 @@ class Core
                 std::uint64_t pc, SeqNum seq = 0, std::uint32_t arg = 0)
     {
 #if SST_TRACE
-        if (traceBuf_)
-            traceBuf_->record(
-                trace::TraceEvent{now_, pc, seq, arg, kind, strand});
+        if (traceBuf_) [[unlikely]]
+            recordEvent(kind, strand, pc, seq, arg);
 #else
         (void)kind; (void)strand; (void)pc; (void)seq; (void)arg;
 #endif
@@ -309,6 +320,12 @@ class Core
     virtual void ioExtra(snap::Reader &) {}
 
   private:
+    /** record()'s out-of-line body: append to the attached buffer. */
+    void recordEvent(trace::TraceKind kind, trace::TraceStrand strand,
+                     std::uint64_t pc, SeqNum seq, std::uint32_t arg);
+    /** fetchReady() past the current line: probe the I-cache. */
+    Cycle fetchNewLine(std::uint64_t pc, Addr addr, Addr line);
+
     std::function<void(const std::string &)> traceSink_;
     Cycle startCycle_ = 0;
 
@@ -325,7 +342,14 @@ class Core
      * @p pc can enter the pipeline, issuing an I-cache access when @p pc
      * crosses into a new line.
      */
-    Cycle fetchReady(std::uint64_t pc);
+    Cycle fetchReady(std::uint64_t pc)
+    {
+        Addr addr = program_.instAddr(pc);
+        Addr line = port_.l1i().lineAddr(addr);
+        if (line == lastFetchLine_)
+            return fetchLineReady_;
+        return fetchNewLine(pc, addr, line);
+    }
 
     /** Train predictor/BTB and decide the redirect penalty. @return true
      *  when the front end predicted this control transfer correctly. */

@@ -21,6 +21,11 @@ SstCore::SstCore(const CoreParams &params, const Program &program,
                        ? params.ssqEntries
                              - port.faults().params().ssqSqueeze
                        : 1),
+      abortArmed_(port.faults().params().forceAbortRate > 0),
+      epochs_(params.checkpoints),
+      // Replay results live at most one DQ's worth of producers per
+      // epoch; the ring grows past that only when live seqs collide.
+      replayResults_(std::size_t{params.dqEntries} * 2),
       checkpointsTaken_(stats_.addScalar("checkpoints_taken",
                                          "speculation epochs opened")),
       epochsCommitted_(stats_.addScalar("epochs_committed",
@@ -111,10 +116,6 @@ SstCore::SstCore(const CoreParams &params, const Program &program,
     fatal_if(params.elideLocks && params.discardSpecWork,
              "lock elision needs committed speculative work; scout "
              "discards it");
-    // Replay results live at most one DQ's worth of producers per epoch;
-    // sizing the table up front keeps the publish/resolve hot path free
-    // of rehash allocations.
-    replayResults_.reserve(params.dqEntries * 2);
     port.setCohClient(this);
 }
 
@@ -143,12 +144,30 @@ SstCore::cohSquash()
 }
 
 unsigned
-SstCore::dqOccupancy() const
+SstCore::dqRecount() const
 {
     unsigned n = 0;
     for (const auto &e : epochs_)
         n += static_cast<unsigned>(e.dq.size() + e.redeferred.size());
     return n;
+}
+
+std::vector<std::array<std::uint64_t, 3>>
+SstCore::replayResultList() const
+{
+    std::vector<std::array<std::uint64_t, 3>> out;
+    for (SeqNum seq : replayResults_.keys()) {
+        const ReplayResult *res = replayResults_.find(seq);
+        out.push_back({seq, res->value, res->readyCycle});
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+}
+
+bool
+SstCore::replayRingConsistent() const
+{
+    return replayResults_.consistent();
 }
 
 std::uint64_t
@@ -221,6 +240,7 @@ SstCore::defer(DqEntry entry, bool reserve_ssq_slot)
         ssq_.push_back(slot);
     }
     epochs_.back().dq.push_back(std::move(entry));
+    ++dqCount_;
 }
 
 void
@@ -298,8 +318,6 @@ SstCore::storeConflicts(SeqNum store_seq, Addr addr,
 void
 SstCore::drainStoreBuffer()
 {
-    if (storeBuffer_.empty())
-        return;
     PendingStore &st = storeBuffer_.front();
     if (st.issuableAt <= now_) {
         auto res = port_.access(AccessType::Store, st.addr, now_);
@@ -324,8 +342,9 @@ SstCore::cycle()
         if (!epochs_.empty())
             rollback(FailKind::CohConflict);
     }
-    drainStoreBuffer();
-    if (!epochs_.empty() && port_.faults().forceAbort())
+    if (!storeBuffer_.empty())
+        drainStoreBuffer();
+    if (abortArmed_ && !epochs_.empty() && port_.faults().forceAbort())
         rollback(FailKind::Forced);
     if (epochs_.empty()) {
         normalCycle();
@@ -364,7 +383,7 @@ SstCore::nextWakeCycle() const
         return kWakeNever;
     if (epochs_.empty())
         return releaseWake();
-    if (blocked_.acted || port_.faults().params().forceAbortRate > 0)
+    if (blocked_.acted || abortArmed_)
         return kWakeNow;
     return releaseWake();
 }
@@ -613,11 +632,12 @@ SstCore::takeCheckpoint(std::uint64_t trigger_pc, SeqNum start_seq)
 {
     if (epochs_.size() >= params_.checkpoints)
         return false;
-    Epoch e;
+    const bool first = epochs_.empty();
+    Epoch &e = epochs_.push_back();
     e.id = nextEpochId_++;
     e.pc = trigger_pc;
     e.startSeq = start_seq;
-    if (epochs_.empty()) {
+    if (first) {
         e.regs = arch_.regs;
     } else {
         e.regs = specRegs_;
@@ -631,8 +651,7 @@ SstCore::takeCheckpoint(std::uint64_t trigger_pc, SeqNum start_seq)
     if (tracing())
         trace("CHECKPOINT id=%u pc=%llu live=%zu", e.id,
               static_cast<unsigned long long>(trigger_pc),
-              epochs_.size() + 1);
-    epochs_.push_back(std::move(e));
+              epochs_.size());
     ++checkpointsTaken_;
     return true;
 }
@@ -1102,13 +1121,13 @@ SstCore::resolveReplay(const DqEntry &entry, std::uint64_t &v1,
             out = op.value;
             return;
         }
-        auto it = replayResults_.find(op.producer);
-        if (it == replayResults_.end()) {
+        const ReplayResult *res = replayResults_.find(op.producer);
+        if (!res) {
             pending = true;
             return;
         }
-        out = it->second.value;
-        ready = std::max(ready, it->second.readyCycle);
+        out = res->value;
+        ready = std::max(ready, res->readyCycle);
     };
     resolve(entry.src1, v1);
     resolve(entry.src2, v2);
@@ -1216,8 +1235,8 @@ SstCore::replayStrand(unsigned slots)
                 // prediction time (same address: src1 was captured).
                 logSpecLoad(entry.seq, addr, size);
             }
-            replayResults_[entry.seq] =
-                ReplayResult{val, res.readyCycle};
+            replayResults_.set(entry.seq,
+                               ReplayResult{val, res.readyCycle});
             publishReplayValue(entry.seq, inst.rd, val, res.readyCycle);
             break;
           }
@@ -1240,11 +1259,11 @@ SstCore::replayStrand(unsigned slots)
                     return st.seq == entry.seq;
                 });
                 sleReleaseSeen_ = true;
-                replayResults_[entry.seq] = ReplayResult{0, now_ + 1};
+                replayResults_.set(entry.seq, ReplayResult{0, now_ + 1});
                 break;
             }
             resolveSsqPlaceholder(entry.seq, addr, size, v2);
-            replayResults_[entry.seq] = ReplayResult{0, now_ + 1};
+            replayResults_.set(entry.seq, ReplayResult{0, now_ + 1});
             break;
           }
           case OpClass::Branch: {
@@ -1287,7 +1306,7 @@ SstCore::replayStrand(unsigned slots)
           default: {
             std::uint64_t val = semantics::aluOp(inst, v1, v2);
             Cycle done = ready + info.latency;
-            replayResults_[entry.seq] = ReplayResult{val, done};
+            replayResults_.set(entry.seq, ReplayResult{val, done});
             publishReplayValue(entry.seq, inst.rd, val, done);
             break;
           }
@@ -1302,6 +1321,7 @@ SstCore::replayStrand(unsigned slots)
                   opInfo(entry.inst.op).mnemonic);
         ++replayedInsts_;
         epoch.dq.pop_front();
+        --dqCount_;
         ++used;
     }
     return used;
@@ -1396,15 +1416,10 @@ SstCore::commitOldestEpoch()
                 keep(e);
         }
         std::sort(live.begin(), live.end());
-        for (auto it = replayResults_.begin();
-             it != replayResults_.end();) {
-            if (it->first < bound
-                && !std::binary_search(live.begin(), live.end(),
-                                       it->first))
-                it = replayResults_.erase(it);
-            else
-                ++it;
-        }
+        replayResults_.eraseIf([&](SeqNum seq) {
+            return seq < bound
+                   && !std::binary_search(live.begin(), live.end(), seq);
+        });
     }
     ++epochsCommitted_;
     // The oldest region retired: pending speculation cycles keep their
@@ -1430,6 +1445,7 @@ SstCore::commitAll()
     loadLog_.clear();
     replayResults_.clear();
     epochs_.clear();
+    dqCount_ = 0;
     regReady_ = specReady_;
     frontEndReadyAt_ = aheadFrontEndReadyAt_;
     divBusyUntil_ = aheadDivBusyUntil_;
@@ -1526,6 +1542,7 @@ SstCore::rollback(FailKind kind)
     lastRollbackCommitted_ = committed_.value();
 
     epochs_.clear();
+    dqCount_ = 0;
     ssq_.clear();
     loadLog_.clear();
     replayResults_.clear();
@@ -1670,31 +1687,28 @@ SstCore::state(Io &s)
         s.u32(l.size);
     });
 
-    // unordered_map: emitted sorted by seq so equal state hashes equal.
+    // Emitted sorted by seq so equal state hashes equal whatever the
+    // ring's size and insertion order.
     if constexpr (Io::loading) {
         replayResults_.clear();
         std::size_t n = s.count(snap::Width::u32, 0, 24);
-        replayResults_.reserve(n);
         for (std::size_t i = 0; i < n; ++i) {
             SeqNum seq = 0;
             ReplayResult res;
             s.u64(seq);
             s.u64(res.value);
             s.u64(res.readyCycle);
-            replayResults_.emplace(seq, res);
+            if (!replayResults_.find(seq))
+                replayResults_.set(seq, res);
         }
+        dqCount_ = dqRecount();
     } else {
-        std::vector<SeqNum> seqs;
-        seqs.reserve(replayResults_.size());
-        for (const auto &kv : replayResults_)
-            seqs.push_back(kv.first);
-        std::sort(seqs.begin(), seqs.end());
-        s.count(snap::Width::u32, seqs.size(), 24);
-        for (SeqNum seq : seqs) {
-            ReplayResult &res = replayResults_.at(seq);
+        auto results = replayResultList();
+        s.count(snap::Width::u32, results.size(), 24);
+        for (const auto &[seq, value, readyCycle] : results) {
             s.u64(seq);
-            s.u64(res.value);
-            s.u64(res.readyCycle);
+            s.u64(value);
+            s.u64(readyCycle);
         }
     }
 

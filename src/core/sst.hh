@@ -38,13 +38,14 @@
 #ifndef SSTSIM_CORE_SST_HH
 #define SSTSIM_CORE_SST_HH
 
+#include <algorithm>
 #include <array>
 #include <deque>
-#include <unordered_map>
 #include <vector>
 
 #include "branch/valuepred.hh"
 #include "core/core.hh"
+#include "core/seqring.hh"
 
 namespace sst
 {
@@ -80,6 +81,20 @@ class SstCore : public Core, public CohClient
     void finalizeAttribution() override;
 
     Cycle nextWakeCycle() const override;
+
+    // --- introspection (tests) ---
+    /** Live checkpoints. */
+    std::size_t liveEpochs() const { return epochs_.size(); }
+    /** DQ entries over all epochs, as the running counter has it. */
+    unsigned dqOccupancy() const { return dqCount_; }
+    /** The same count walked from the epochs' queues. */
+    unsigned dqRecount() const;
+    /** The replay results as (seq, value, ready) triples sorted by seq,
+     *  as snapshots carry them. */
+    std::vector<std::array<std::uint64_t, 3>> replayResultList() const;
+    /** True when the replay ring's slots hold exactly its key list,
+     *  each key in its own slot. */
+    bool replayRingConsistent() const;
 
   protected:
     void cycle() override;
@@ -165,6 +180,106 @@ class SstCore : public Core, public CohClient
         std::deque<DqEntry> redeferred;
     };
 
+    /**
+     * The live checkpoints, oldest first, in a ring of Epoch objects
+     * that outlive their regions: opening a checkpoint reuses a slot
+     * (its queues keep their storage) instead of building, moving and
+     * freeing an Epoch with two deques and a RAS. Slots are built on
+     * first use, up to params.checkpoints (a snapshot naming more
+     * grows the ring further).
+     */
+    class EpochRing
+    {
+      public:
+        explicit EpochRing(std::size_t slots) { slots_.reserve(slots); }
+
+        bool empty() const { return count_ == 0; }
+        std::size_t size() const { return count_; }
+        Epoch &operator[](std::size_t i) { return slots_[slot(i)]; }
+        const Epoch &operator[](std::size_t i) const
+        {
+            return slots_[slot(i)];
+        }
+        Epoch &front() { return (*this)[0]; }
+        Epoch &back() { return (*this)[count_ - 1]; }
+
+        /** Open a slot at the back: empty queues, no NA registers, no
+         *  trigger time; the caller fills in the rest. */
+        Epoch &push_back()
+        {
+            if (count_ == slots_.size())
+                grow();
+            ++count_;
+            Epoch &e = back();
+            e.na.fill(false);
+            e.naWriter.fill(0);
+            e.triggerReady = 0;
+            e.dq.clear();
+            e.redeferred.clear();
+            return e;
+        }
+        void pop_front()
+        {
+            head_ = slot(1);
+            --count_;
+        }
+        void clear()
+        {
+            head_ = 0;
+            count_ = 0;
+        }
+        /** clear() then open @p n slots (snapshot loading). */
+        void resize(std::size_t n)
+        {
+            clear();
+            for (std::size_t i = 0; i < n; ++i)
+                push_back();
+        }
+
+        template <class Ring, class E> struct Iter
+        {
+            Ring *ring;
+            std::size_t i;
+            E &operator*() const { return (*ring)[i]; }
+            Iter &operator++()
+            {
+                ++i;
+                return *this;
+            }
+            bool operator!=(const Iter &o) const { return i != o.i; }
+        };
+        Iter<EpochRing, Epoch> begin() { return {this, 0}; }
+        Iter<EpochRing, Epoch> end() { return {this, count_}; }
+        Iter<const EpochRing, const Epoch> begin() const
+        {
+            return {this, 0};
+        }
+        Iter<const EpochRing, const Epoch> end() const
+        {
+            return {this, count_};
+        }
+
+      private:
+        std::size_t slot(std::size_t i) const
+        {
+            std::size_t j = head_ + i;
+            return j < slots_.size() ? j : j - slots_.size();
+        }
+        /** Add a slot to a full ring, its live epochs laid out from
+         *  slot 0 first so the new one follows the back. */
+        void grow()
+        {
+            std::rotate(slots_.begin(), slots_.begin() + head_,
+                        slots_.end());
+            head_ = 0;
+            slots_.emplace_back();
+        }
+
+        std::vector<Epoch> slots_;
+        std::size_t head_ = 0;
+        std::size_t count_ = 0;
+    };
+
     /** Why a speculative region was discarded. */
     enum class FailKind
     {
@@ -203,7 +318,6 @@ class SstCore : public Core, public CohClient
                             Cycle ready);
     /** Record a deferred instruction (ahead strand). */
     void defer(DqEntry entry, bool reserveSsqSlot);
-    unsigned dqOccupancy() const;
     unsigned ssqOccupancy() const { return static_cast<unsigned>(ssq_.size()); }
     /** Resolve a deferred store's slot in the SSQ (placeholder fill). */
     void resolveSsqPlaceholder(SeqNum seq, Addr addr, unsigned size,
@@ -286,16 +400,22 @@ class SstCore : public Core, public CohClient
     /** Effective queue capacities (params minus any fault squeeze). */
     unsigned dqCapacity_;
     unsigned ssqCapacity_;
+    /** Abort injection is armed (fault.force_abort_rate > 0): every
+     *  speculating cycle draws from the fault RNG. */
+    const bool abortArmed_;
+    /** Entries in every epoch's dq + redeferred queues. Derived state:
+     *  recounted on load, never serialized. */
+    unsigned dqCount_ = 0;
     /** Deferred branches/jumps not yet verified by replay. */
     unsigned unverifiedBranches_ = 0;
 
-    std::deque<Epoch> epochs_;
+    EpochRing epochs_;
     std::vector<SsqEntry> ssq_; ///< sorted by seq
     std::vector<SpecLoad> loadLog_;
     /** Values produced by the behind strand, keyed by producer seq.
      *  Spans epochs (a consumer may sit in a younger epoch); cleared at
      *  full commit and rollback. */
-    std::unordered_map<SeqNum, ReplayResult> replayResults_;
+    SeqRing<ReplayResult> replayResults_;
 
     /** Committed stores awaiting their timed L1 access. */
     struct PendingStore

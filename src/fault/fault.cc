@@ -33,7 +33,7 @@ FaultInjector::FaultInjector(const FaultParams &params,
 }
 
 Cycle
-FaultInjector::perturbFill(Cycle now, Cycle ready)
+FaultInjector::drawFill(Cycle now, Cycle ready)
 {
     // Disarmed fault classes draw nothing, so an all-off injector
     // consumes no randomness and zero-rate classes are free.
@@ -51,10 +51,9 @@ FaultInjector::perturbFill(Cycle now, Cycle ready)
 }
 
 bool
-FaultInjector::mshrPressure()
+FaultInjector::drawMshrPressure()
 {
-    if (params_.mshrPressureRate <= 0
-        || !rng_.chance(params_.mshrPressureRate))
+    if (!rng_.chance(params_.mshrPressureRate))
         return false;
     ++injected_;
     ++mshrRejects_;
@@ -62,10 +61,9 @@ FaultInjector::mshrPressure()
 }
 
 Cycle
-FaultInjector::tlbPressure(unsigned walkLatency)
+FaultInjector::drawTlbPressure(unsigned walkLatency)
 {
-    if (params_.tlbPressureRate <= 0
-        || !rng_.chance(params_.tlbPressureRate))
+    if (!rng_.chance(params_.tlbPressureRate))
         return 0;
     ++injected_;
     ++tlbSpikes_;
@@ -73,10 +71,9 @@ FaultInjector::tlbPressure(unsigned walkLatency)
 }
 
 bool
-FaultInjector::forceAbort()
+FaultInjector::drawForceAbort()
 {
-    if (params_.forceAbortRate <= 0
-        || !rng_.chance(params_.forceAbortRate))
+    if (!rng_.chance(params_.forceAbortRate))
         return false;
     ++injected_;
     ++forcedAborts_;

@@ -100,16 +100,31 @@ class FaultInjector
      * fill is modelled as lost-then-re-issued: it completes only after
      * the timeout. A delayed fill is simply late.
      */
-    Cycle perturbFill(Cycle now, Cycle ready);
+    Cycle perturbFill(Cycle now, Cycle ready)
+    {
+        if (params_.dropFillRate > 0 || params_.delayFillRate > 0)
+            return drawFill(now, ready);
+        return ready;
+    }
 
     /** True when an MSHR allocation must be rejected this access. */
-    bool mshrPressure();
+    bool mshrPressure()
+    {
+        return params_.mshrPressureRate <= 0 ? false : drawMshrPressure();
+    }
 
     /** Extra translation latency to charge (0 = no fault). */
-    Cycle tlbPressure(unsigned walkLatency);
+    Cycle tlbPressure(unsigned walkLatency)
+    {
+        return params_.tlbPressureRate <= 0 ? 0
+                                            : drawTlbPressure(walkLatency);
+    }
 
     /** True when the SST core must force-abort its speculation now. */
-    bool forceAbort();
+    bool forceAbort()
+    {
+        return params_.forceAbortRate <= 0 ? false : drawForceAbort();
+    }
 
     /** Total faults injected so far (all kinds). */
     std::uint64_t injectedCount() const { return injected_.value(); }
@@ -121,6 +136,13 @@ class FaultInjector
     template <class Io> void io(Io &s);
 
   private:
+    // The armed halves of the hooks above: every disarmed class is one
+    // inline compare and draws nothing from the RNG.
+    Cycle drawFill(Cycle now, Cycle ready);
+    bool drawMshrPressure();
+    Cycle drawTlbPressure(unsigned walkLatency);
+    bool drawForceAbort();
+
     FaultParams params_;
     Rng rng_;
 

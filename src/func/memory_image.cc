@@ -1,6 +1,7 @@
 #include "func/memory_image.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <vector>
 
@@ -11,22 +12,44 @@
 namespace sst
 {
 
-const MemoryImage::Page *
-MemoryImage::findPage(Addr addr) const
+MemoryImage::Page &
+MemoryImage::PageTable::insert(Addr key, std::unique_ptr<Page> page)
 {
-    auto it = pages_.find(addr >> pageShift);
-    return it == pages_.end() ? nullptr : it->second.get();
+    if ((pages_.size() + 1) * 2 > slots_.size())
+        grow();
+    std::size_t i = home(key);
+    while (slots_[i].page)
+        i = (i + 1) & mask_;
+    slots_[i] = Slot{key, page.get()};
+    pages_.push_back(std::move(page));
+    return *pages_.back();
+}
+
+void
+MemoryImage::PageTable::grow()
+{
+    std::vector<Slot> old(std::max<std::size_t>(16, slots_.size() * 2));
+    old.swap(slots_);
+    mask_ = slots_.size() - 1;
+    shift_ = 64 - static_cast<unsigned>(std::countr_zero(slots_.size()));
+    for (const Slot &slot : old) {
+        if (!slot.page)
+            continue;
+        std::size_t i = home(slot.key);
+        while (slots_[i].page)
+            i = (i + 1) & mask_;
+        slots_[i] = slot;
+    }
 }
 
 MemoryImage::Page &
 MemoryImage::touchPage(Addr addr)
 {
-    auto &slot = pages_[addr >> pageShift];
-    if (!slot) {
-        slot = std::make_unique<Page>();
-        slot->fill(0);
-    }
-    return *slot;
+    if (Page *p = pages_.find(addr >> pageShift))
+        return *p;
+    auto page = std::make_unique<Page>();
+    page->fill(0);
+    return pages_.insert(addr >> pageShift, std::move(page));
 }
 
 std::uint8_t
@@ -118,15 +141,15 @@ MemoryImage::contentEquals(const MemoryImage &other) const
     }();
 
     auto coveredBy = [](const MemoryImage &a, const MemoryImage &b) {
-        for (const auto &kv : a.pages_) {
-            auto it = b.pages_.find(kv.first);
-            const Page &mine = *kv.second;
-            const Page &theirs =
-                it == b.pages_.end() ? zeroPage : *it->second;
-            if (std::memcmp(mine.data(), theirs.data(), pageSize) != 0)
-                return false;
-        }
-        return true;
+        bool equal = true;
+        a.pages_.forEach([&](Addr key, const Page &mine) {
+            const Page *theirs = b.pages_.find(key);
+            if (std::memcmp(mine.data(), (theirs ? *theirs : zeroPage).data(),
+                            pageSize)
+                != 0)
+                equal = false;
+        });
+        return equal;
     };
     return coveredBy(*this, other) && coveredBy(other, *this);
 }
@@ -135,18 +158,16 @@ Addr
 MemoryImage::highWater() const
 {
     Addr top = 0;
-    for (const auto &kv : pages_) {
-        Addr pageEnd = (kv.first + 1) << pageShift;
-        const Page &p = *kv.second;
+    pages_.forEach([&](Addr key, const Page &p) {
+        Addr pageEnd = (key + 1) << pageShift;
         // Trim trailing zero bytes so an incidentally touched-but-blank
         // tail does not inflate the footprint.
         Addr used = pageSize;
         while (used > 0 && p[used - 1] == 0)
             --used;
-        if (used == 0)
-            continue;
-        top = std::max(top, pageEnd - (pageSize - used));
-    }
+        if (used != 0)
+            top = std::max(top, pageEnd - (pageSize - used));
+    });
     return top;
 }
 
@@ -167,13 +188,13 @@ MemoryImage::io(Io &s)
                      "snapshot)");
             prev = key;
             // Every byte is overwritten by the copy below, so skip the
-            // value-initialisation memset; keys arrive sorted (checked
-            // above), so the end hint makes each insert O(1). Together
-            // these roughly halve restore time on multi-MB images,
-            // which is the per-window floor for library-served sampling.
+            // value-initialisation memset: restore time on multi-MB
+            // images is the per-window floor for library-served
+            // sampling. Keys are strictly increasing (checked above),
+            // so each is new.
             auto page = std::make_unique_for_overwrite<Page>();
             s.bytes(page->data(), pageSize);
-            pages_.emplace_hint(pages_.end(), key, std::move(page));
+            pages_.insert(key, std::move(page));
         }
     } else {
         static const Page zeroPage = [] {
@@ -181,17 +202,17 @@ MemoryImage::io(Io &s)
             p.fill(0);
             return p;
         }();
-        std::vector<Addr> keys;
-        keys.reserve(pages_.size());
-        for (const auto &kv : pages_)
-            if (std::memcmp(kv.second->data(), zeroPage.data(), pageSize)
-                != 0)
-                keys.push_back(kv.first);
-        std::sort(keys.begin(), keys.end());
-        s.count(snap::Width::u64, keys.size(), 8 + pageSize);
-        for (Addr key : keys) {
+        std::vector<std::pair<Addr, const Page *>> pages;
+        pages.reserve(pages_.size());
+        pages_.forEach([&](Addr key, const Page &p) {
+            if (std::memcmp(p.data(), zeroPage.data(), pageSize) != 0)
+                pages.emplace_back(key, &p);
+        });
+        std::sort(pages.begin(), pages.end());
+        s.count(snap::Width::u64, pages.size(), 8 + pageSize);
+        for (const auto &[key, page] : pages) {
             s.u64(key);
-            s.bytes(pages_.at(key)->data(), pageSize);
+            s.bytes(page->data(), pageSize);
         }
     }
 }

@@ -10,7 +10,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
+#include <vector>
 
 #include "common/types.hh"
 
@@ -99,11 +99,73 @@ class MemoryImage
   private:
     using Page = std::array<std::uint8_t, pageSize>;
 
-    const Page *findPage(Addr addr) const;
+    /**
+     * Page number -> page: open addressing with linear probing over a
+     * power-of-two slot array kept at most half full, owning its pages.
+     * A lookup is one multiply and, almost always, one slot; the
+     * node-based map it replaced chased a bucket and then a node.
+     * Lookups never write, so concurrent readers (the parallel CMP
+     * engine's cores reading the shared base image) stay race-free.
+     * Pages are never removed one by one, only all at once.
+     */
+    class PageTable
+    {
+      public:
+        Page *find(Addr key) const
+        {
+            if (pages_.empty())
+                return nullptr;
+            for (std::size_t i = home(key); slots_[i].page;
+                 i = (i + 1) & mask_)
+                if (slots_[i].key == key)
+                    return slots_[i].page;
+            return nullptr;
+        }
+        /** Add @p page under @p key, which must be absent. */
+        Page &insert(Addr key, std::unique_ptr<Page> page);
+        std::size_t size() const { return pages_.size(); }
+        void clear()
+        {
+            slots_.clear();
+            pages_.clear();
+            mask_ = 0;
+        }
+        /** Call @p fn(key, page) for every page, in no set order. */
+        template <class Fn> void forEach(Fn &&fn) const
+        {
+            for (const Slot &slot : slots_)
+                if (slot.page)
+                    fn(slot.key, *slot.page);
+        }
+
+      private:
+        struct Slot
+        {
+            Addr key = 0;
+            Page *page = nullptr;
+        };
+        std::size_t home(Addr key) const
+        {
+            return static_cast<std::size_t>(
+                       (key * 0x9E3779B97F4A7C15ULL) >> shift_)
+                   & mask_;
+        }
+        void grow();
+
+        std::vector<Slot> slots_;
+        std::vector<std::unique_ptr<Page>> pages_;
+        std::size_t mask_ = 0;
+        unsigned shift_ = 63;
+    };
+
+    const Page *findPage(Addr addr) const
+    {
+        return pages_.find(addr >> pageShift);
+    }
     Page &touchPage(Addr addr);
     void rawWriteByte(Addr addr, std::uint8_t value);
 
-    std::unordered_map<Addr, std::unique_ptr<Page>> pages_;
+    PageTable pages_;
     std::function<void(Addr, unsigned)> writeObserver_;
 };
 

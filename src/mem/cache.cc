@@ -1,6 +1,7 @@
 #include "mem/cache.hh"
 
 #include <bit>
+#include <cstring>
 
 #include "common/logging.hh"
 #include "snap/snap.hh"
@@ -36,8 +37,22 @@ Cache::Cache(const CacheParams &params, StatGroup &parentStats)
              numSets_);
     lineShift_ = static_cast<unsigned>(std::countr_zero(
         static_cast<std::uint64_t>(params.lineBytes)));
-    lines_.resize(numLines);
-    mruWay_.assign(numSets_, 0);
+    // The valid bit needs a free top tag bit.
+    fatal_if(lineShift_ == 0, "%s: line size must be at least 2 bytes",
+             params.name.c_str());
+    // Set block: three 8-byte rows, the flag row, the MRU way. Whole
+    // host cache lines when that stays within 32 bytes per line (every
+    // power-of-two associativity but 1); 8-byte granules otherwise.
+    const std::size_t a = params.assoc;
+    mruOffset_ = (25 * a + 3) / 4 * 4;
+    std::size_t bytes = mruOffset_ + sizeof(std::uint32_t);
+    std::size_t lines64 = (bytes + 63) / 64 * 64;
+    setStride_ = lines64 <= 32 * a ? lines64 : (bytes + 7) / 8 * 8;
+    panic_if(setStride_ > 32 * a, "%s: %zu-byte set block for %zu ways",
+             params.name.c_str(), setStride_, a);
+    // Zeroed: every way invalid with stale tag 0, MRU way 0.
+    storage_.reset(new Block[(numSets_ * setStride_ + sizeof(Block) - 1)
+                             / sizeof(Block)]());
 
     stats_.addFormula("miss_rate", "misses / accesses", [this] {
         auto a = accesses_.value();
@@ -50,105 +65,38 @@ Cache::Cache(const CacheParams &params, StatGroup &parentStats)
 }
 
 unsigned
-Cache::setIndex(Addr addr) const
-{
-    return static_cast<unsigned>((addr >> lineShift_) & (numSets_ - 1));
-}
-
-Addr
-Cache::tagOf(Addr addr) const
-{
-    return addr >> lineShift_;
-}
-
-Cache::Line *
-Cache::findLine(Addr addr)
-{
-    unsigned set = setIndex(addr);
-    Addr tag = tagOf(addr);
-    unsigned hint = mruWay_[set];
-    {
-        Line &line = lines_[set * params_.assoc + hint];
-        if (line.valid && line.tag == tag)
-            return &line;
-    }
-    for (unsigned w = 0; w < params_.assoc; ++w) {
-        if (w == hint)
-            continue;
-        Line &line = lines_[set * params_.assoc + w];
-        if (line.valid && line.tag == tag) {
-            mruWay_[set] = w;
-            return &line;
-        }
-    }
-    return nullptr;
-}
-
-const Cache::Line *
-Cache::findLine(Addr addr) const
-{
-    return const_cast<Cache *>(this)->findLine(addr);
-}
-
-Cache::LookupResult
-Cache::access(Addr addr, bool isStore, Cycle now)
-{
-    ++accesses_;
-    Line *line = findLine(addr);
-    LookupResult res;
-    if (line) {
-        ++hits_;
-        res.hit = true;
-        Cycle settled = now + params_.hitLatency;
-        res.readyCycle = std::max(settled, line->readyCycle);
-        line->lastUse = ++useCounter_;
-        line->nruRef = true;
-        if (isStore)
-            line->dirty = true;
-    } else {
-        ++misses_;
-    }
-    return res;
-}
-
-bool
-Cache::contains(Addr addr) const
-{
-    return findLine(addr) != nullptr;
-}
-
-unsigned
 Cache::victimWay(unsigned set)
 {
+    const unsigned a = params_.assoc;
+    const Addr *tags = tagRow(set);
     // Prefer an invalid way.
-    for (unsigned w = 0; w < params_.assoc; ++w)
-        if (!lines_[set * params_.assoc + w].valid)
+    for (unsigned w = 0; w < a; ++w)
+        if (!(tags[w] & kValid))
             return w;
 
     switch (params_.policy) {
       case ReplPolicy::Random:
-        return static_cast<unsigned>(rng_.below(params_.assoc));
+        return static_cast<unsigned>(rng_.below(a));
       case ReplPolicy::Nru: {
+        std::uint8_t *flags = flagRow(set);
         for (int pass = 0; pass < 2; ++pass) {
-            for (unsigned w = 0; w < params_.assoc; ++w) {
-                Line &line = lines_[set * params_.assoc + w];
-                if (!line.nruRef)
+            for (unsigned w = 0; w < a; ++w)
+                if (!(flags[w] & kNruRef))
                     return w;
-            }
             // All referenced: clear and retry.
-            for (unsigned w = 0; w < params_.assoc; ++w)
-                lines_[set * params_.assoc + w].nruRef = false;
+            for (unsigned w = 0; w < a; ++w)
+                flags[w] &= static_cast<std::uint8_t>(~kNruRef);
         }
         return 0;
       }
       case ReplPolicy::Lru:
       default: {
+        const std::uint64_t *lru = lruRow(set);
         unsigned victim = 0;
         std::uint64_t oldest = ~std::uint64_t{0};
-        for (unsigned w = 0; w < params_.assoc; ++w) {
-            Line &line = lines_[set * params_.assoc + w];
-            if (line.lastUse < oldest) {
-                oldest = line.lastUse;
+        for (unsigned w = 0; w < a; ++w) {
+            if (lru[w] < oldest) {
+                oldest = lru[w];
                 victim = w;
             }
         }
@@ -166,50 +114,53 @@ Cache::fill(Addr addr, Cycle fillReady, bool dirty)
             fillReady, lineAddr(addr), 0, traceLevel_,
             trace::TraceKind::Fill, trace::TraceStrand::Mem});
 #endif
+    unsigned set = setIndex(addr);
     // Refill of a present line (e.g. prefetch completing after a demand
     // fill): just update state.
-    if (Line *line = findLine(addr)) {
-        line->readyCycle = std::min(line->readyCycle, fillReady);
-        line->dirty = line->dirty || dirty;
+    if (int w = findWay(set, tagOf(addr) | kValid); w >= 0) {
+        Cycle &ready = readyRow(set)[w];
+        ready = std::min(ready, fillReady);
+        if (dirty)
+            flagRow(set)[w] |= kDirty;
         return Eviction{};
     }
 
-    unsigned set = setIndex(addr);
     unsigned way = victimWay(set);
-    mruWay_[set] = way;
-    Line &line = lines_[set * params_.assoc + way];
+    mruWay(set) = way;
+    Addr &tag = tagRow(set)[way];
+    std::uint8_t &flags = flagRow(set)[way];
 
     Eviction ev;
-    if (line.valid) {
+    if (tag & kValid) {
         ev.valid = true;
-        ev.dirty = line.dirty;
-        ev.lineAddr = line.tag << lineShift_;
+        ev.dirty = flags & kDirty;
+        ev.lineAddr = (tag & ~kValid) << lineShift_;
         ++evictions_;
-        if (line.dirty)
+        if (ev.dirty)
             ++writebacks_;
     }
 
-    line.valid = true;
-    line.dirty = dirty;
-    line.nruRef = true;
-    line.tag = tagOf(addr);
-    line.lastUse = ++useCounter_;
-    line.readyCycle = fillReady;
+    tag = tagOf(addr) | kValid;
+    flags = dirty ? kNruRef | kDirty : kNruRef;
+    lruRow(set)[way] = ++useCounter_;
+    readyRow(set)[way] = fillReady;
     return ev;
 }
 
 void
 Cache::invalidate(Addr addr)
 {
-    if (Line *line = findLine(addr))
-        line->valid = false;
+    unsigned set = setIndex(addr);
+    if (int w = findWay(set, tagOf(addr) | kValid); w >= 0)
+        tagRow(set)[w] &= ~kValid;
 }
 
 void
 Cache::flush()
 {
-    for (auto &line : lines_)
-        line = Line{};
+    // Lines back to the power-on state; the MRU ways stay.
+    for (unsigned set = 0; set < numSets_; ++set)
+        std::memset(setBlock(set), 0, mruOffset_);
 }
 
 
@@ -218,18 +169,41 @@ void
 Cache::io(Io &s)
 {
     s.tag("cache");
-    s.expect(static_cast<std::uint32_t>(lines_.size()), "cache lines");
-    for (Line &l : lines_) {
-        s.b(l.valid);
-        s.b(l.dirty);
-        s.b(l.nruRef);
-        s.u64(l.tag);
-        s.u64(l.lastUse);
-        s.u64(l.readyCycle);
+    const unsigned a = params_.assoc;
+    s.expect(static_cast<std::uint32_t>(std::size_t{numSets_} * a),
+             "cache lines");
+    // The pre-row layout's per-line record, set by set and way by way:
+    // valid, dirty, NRU bit, the (possibly stale) tag, LRU stamp, ready
+    // cycle.
+    for (unsigned set = 0; set < numSets_; ++set) {
+        for (unsigned w = 0; w < a; ++w) {
+            Addr &row = tagRow(set)[w];
+            std::uint8_t &flags = flagRow(set)[w];
+            bool valid = row & kValid;
+            bool dirty = flags & kDirty;
+            bool nruRef = flags & kNruRef;
+            Addr tag = row & ~kValid;
+            s.b(valid);
+            s.b(dirty);
+            s.b(nruRef);
+            s.u64(tag);
+            s.u64(lruRow(set)[w]);
+            s.u64(readyRow(set)[w]);
+            if constexpr (Io::loading) {
+                fatal_if(tag >> (64 - lineShift_),
+                         "%s: snapshot tag %#llx does not fit the line "
+                         "size",
+                         params_.name.c_str(),
+                         static_cast<unsigned long long>(tag));
+                row = valid ? tag | kValid : tag;
+                flags = static_cast<std::uint8_t>(
+                    (dirty ? kDirty : 0) | (nruRef ? kNruRef : 0));
+            }
+        }
     }
-    s.expect(static_cast<std::uint32_t>(mruWay_.size()), "cache sets");
-    for (std::uint32_t &way : mruWay_)
-        s.u32(way);
+    s.expect(static_cast<std::uint32_t>(numSets_), "cache sets");
+    for (unsigned set = 0; set < numSets_; ++set)
+        s.u32(mruWay(set));
     s.u64(useCounter_);
     rng_.io(s);
 }

@@ -12,7 +12,9 @@
 #ifndef SSTSIM_MEM_CACHE_HH
 #define SSTSIM_MEM_CACHE_HH
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -77,10 +79,30 @@ class Cache
      * store hit marks the line dirty. Misses leave the array unchanged
      * (the owner decides whether to fill).
      */
-    LookupResult access(Addr addr, bool isStore, Cycle now);
+    LookupResult access(Addr addr, bool isStore, Cycle now)
+    {
+        ++accesses_;
+        unsigned set = setIndex(addr);
+        int w = findWay(set, tagOf(addr) | kValid);
+        LookupResult res;
+        if (w < 0) {
+            ++misses_;
+            return res;
+        }
+        ++hits_;
+        res.hit = true;
+        Cycle settled = now + params_.hitLatency;
+        res.readyCycle = std::max(settled, readyRow(set)[w]);
+        lruRow(set)[w] = ++useCounter_;
+        flagRow(set)[w] |= isStore ? kNruRef | kDirty : kNruRef;
+        return res;
+    }
 
     /** Probe without updating replacement state or stats. */
-    bool contains(Addr addr) const;
+    bool contains(Addr addr) const
+    {
+        return findWay(setIndex(addr), tagOf(addr) | kValid) >= 0;
+    }
 
     /**
      * Install the line holding @p addr with data arriving at
@@ -111,37 +133,92 @@ class Cache
     template <class Io> void io(Io &s);
 
   private:
-    /** 32 bytes, aligned to 32 so that no entry straddles a host cache
-     *  line whatever address the allocator hands back. malloc only
-     *  guarantees 16: an array 16 bytes off made constructing a machine
-     *  about 15% slower, depending on unrelated allocation sizes. */
-    struct alignas(32) Line
-    {
-        bool valid = false;
-        bool dirty = false;
-        bool nruRef = false;
-        Addr tag = 0;
-        std::uint64_t lastUse = 0;
-        Cycle readyCycle = 0;
-    };
-    static_assert(sizeof(Line) == 32);
+    /** Valid bit of a tag row entry: a valid way holds tag | kValid,
+     *  an invalid one its stale tag (snapshots carry it) without the
+     *  bit. Tags are addr >> lineShift_ with lineShift_ >= 1, so the
+     *  bit is free, a probe key (tag | kValid) never matches an invalid
+     *  way, and zeroed storage is the power-on state (all ways invalid,
+     *  stale tag 0). */
+    static constexpr Addr kValid = Addr{1} << 63;
+    /** Flag row bits. */
+    static constexpr std::uint8_t kDirty = 1;
+    static constexpr std::uint8_t kNruRef = 2;
+    /** Per-line state: tag (with the sentinel), LRU stamp, fill-ready
+     *  cycle and flags. Each set keeps its lines' state as rows in one
+     *  block: tag row, LRU row, ready row, flag row, then the set's
+     *  MRU way, padded to whole host cache lines where that keeps a
+     *  line's share at or under the 32 bytes the old array-of-structs
+     *  line cost (see the constructor). A probe and a fill touch one
+     *  block. */
+    static_assert(sizeof(Addr) + sizeof(std::uint64_t) + sizeof(Cycle)
+                      + sizeof(std::uint8_t)
+                  <= 32);
 
-    unsigned setIndex(Addr addr) const;
-    Addr tagOf(Addr addr) const;
-    Line *findLine(Addr addr);
-    const Line *findLine(Addr addr) const;
+    unsigned setIndex(Addr addr) const
+    {
+        return static_cast<unsigned>((addr >> lineShift_) & (numSets_ - 1));
+    }
+    Addr tagOf(Addr addr) const { return addr >> lineShift_; }
+
+    unsigned char *setBlock(unsigned set) const
+    {
+        return reinterpret_cast<unsigned char *>(storage_.get())
+               + std::size_t{set} * setStride_;
+    }
+    Addr *tagRow(unsigned set) const
+    {
+        return reinterpret_cast<Addr *>(setBlock(set));
+    }
+    std::uint64_t *lruRow(unsigned set) const
+    {
+        return tagRow(set) + params_.assoc;
+    }
+    Cycle *readyRow(unsigned set) const
+    {
+        return tagRow(set) + 2 * params_.assoc;
+    }
+    std::uint8_t *flagRow(unsigned set) const
+    {
+        return reinterpret_cast<std::uint8_t *>(tagRow(set)
+                                                + 3 * params_.assoc);
+    }
+    /** Way of the set's last hit/fill. Probes do not start from it (a
+     *  row scan finds the same way: tags are unique within a set), but
+     *  it is snapshot state, so every hit, contains()'s included, and
+     *  every fill keep it. */
+    std::uint32_t &mruWay(unsigned set) const
+    {
+        return *reinterpret_cast<std::uint32_t *>(setBlock(set)
+                                                  + mruOffset_);
+    }
+
+    /** Way of the valid line whose row entry is @p key (tag | kValid)
+     *  in @p set, or -1. */
+    int findWay(unsigned set, Addr key) const
+    {
+        const Addr *row = tagRow(set);
+        for (unsigned w = 0; w < params_.assoc; ++w) {
+            if (row[w] == key) {
+                mruWay(set) = w;
+                return static_cast<int>(w);
+            }
+        }
+        return -1;
+    }
     unsigned victimWay(unsigned set);
 
     CacheParams params_;
     Addr lineMask_;
     unsigned numSets_;
     unsigned lineShift_;
-    std::vector<Line> lines_; // numSets_ * assoc, row-major by set
-    /** Per-set way of the last hit/fill. Cache lookups are heavily
-     *  repeat-biased (fetch re-probes, load retries), so checking this
-     *  way first short-circuits most associative scans. Tags are unique
-     *  within a set, so probe order cannot change any result. */
-    std::vector<std::uint32_t> mruWay_;
+    std::size_t setStride_ = 0;
+    std::size_t mruOffset_ = 0;
+    /** 64-byte-aligned storage of the set blocks. */
+    struct alignas(64) Block
+    {
+        unsigned char bytes[64];
+    };
+    std::unique_ptr<Block[]> storage_;
     std::uint64_t useCounter_ = 0;
     Rng rng_;
 

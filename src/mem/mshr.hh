@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/stats.hh"
@@ -36,12 +37,23 @@ class MshrFile
             expireDue(now);
     }
 
-    /** @return completion cycle of an in-flight fill of @p lineAddr,
-     *  or invalidCycle when the line has no pending miss. */
-    Cycle pendingCompletion(Addr lineAddr) const;
+    /** @return completion cycle of an in-flight fill of @p lineAddr
+     *  (the oldest entry's, should the line have several), or
+     *  invalidCycle when the line has no pending miss. */
+    Cycle pendingCompletion(Addr lineAddr) const
+    {
+        if (lineAddr == invalidAddr) [[unlikely]]
+            return scanCompletion(lineAddr);
+        const Slot *slot = findSlot(lineAddr);
+        return slot->count ? slot->completion : invalidCycle;
+    }
 
     /** @return true when no entry is free (after expire(now)). */
-    bool full(Cycle now);
+    bool full(Cycle now)
+    {
+        expire(now);
+        return entries_.size() >= capacity_;
+    }
 
     /** Earliest cycle at which an entry will free up (full file only). */
     Cycle earliestFree() const { return horizon_; }
@@ -66,8 +78,14 @@ class MshrFile
     void allocate(Addr lineAddr, Cycle completion, bool isDemand,
                   Cycle now);
 
-    /** Demand misses currently outstanding at @p now (MLP sample). */
-    unsigned outstandingDemand(Cycle now) const;
+    /** Demand misses currently outstanding at @p now (MLP sample). Every
+     *  entry completes at or after horizon_, so before it the count
+     *  kept at allocation and expiry is exact; at or past it (the
+     *  caller has not expired) fall back to a scan. */
+    unsigned outstandingDemand(Cycle now) const
+    {
+        return now < horizon_ ? demand_ : scanDemand(now);
+    }
 
     /** All entries (tests). */
     struct Entry
@@ -96,15 +114,49 @@ class MshrFile
     template <class Io> void io(Io &s);
 
   private:
+    /** One line of the line index: the completion of the line's oldest
+     *  entry and how many entries carry the line (0 = empty slot). */
+    struct Slot
+    {
+        Addr line = invalidAddr;
+        Cycle completion = invalidCycle;
+        unsigned count = 0;
+    };
+
     void expireDue(Cycle now);
-    /** Recompute horizon_ from the entries. */
-    void resetHorizon();
+    /** Rebuild horizon_, demand_ and the line index from entries_. */
+    void rebuildDerived();
+    Cycle scanCompletion(Addr lineAddr) const;
+    unsigned scanDemand(Cycle now) const;
+
+    /** The slot holding @p line, or the empty slot where it would go
+     *  (linear probing; the index is at most half full). */
+    const Slot *findSlot(Addr line) const
+    {
+        std::size_t mask = index_.size() - 1;
+        std::size_t i = (line * 0x9e3779b97f4a7c15ull) >> indexShift_;
+        while (index_[i].count && index_[i].line != line)
+            i = (i + 1) & mask;
+        return &index_[i];
+    }
+    Slot *findSlot(Addr line)
+    {
+        return const_cast<Slot *>(std::as_const(*this).findSlot(line));
+    }
+    void indexInsert(Addr line, Cycle completion);
+    /** Remove @p slot, shifting later probe-chain members back. */
+    void indexErase(Slot *slot);
 
     unsigned capacity_;
     std::vector<Entry> entries_;
-    /** Earliest completion over entries_ (invalidCycle when empty).
-     *  Derived state: rebuilt on load, never serialized. */
+    /** Derived state, rebuilt on load and never serialized:
+     *  horizon_ is the earliest completion over entries_ (invalidCycle
+     *  when empty), demand_ counts the demand entries, and index_ maps
+     *  every line other than invalidAddr that an entry carries. */
     Cycle horizon_ = invalidCycle;
+    unsigned demand_ = 0;
+    std::vector<Slot> index_;
+    unsigned indexShift_ = 0;
 
     StatGroup stats_;
     Scalar &allocations_;

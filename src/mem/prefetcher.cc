@@ -22,36 +22,36 @@ Prefetcher::Prefetcher(const PrefetcherParams &params, unsigned lineBytes,
     parentStats.addChild(stats_);
 }
 
-std::vector<Addr>
+const std::vector<Addr> &
 Prefetcher::onAccess(Addr lineAddr, bool miss)
 {
+    targets_.clear();
     if (!params_.enabled)
-        return {};
-    return params_.mode == PrefetchMode::Stride
-               ? strideTargets(lineAddr, miss)
-               : nextLineTargets(lineAddr, miss);
+        return targets_;
+    if (params_.mode == PrefetchMode::Stride)
+        strideTargets(lineAddr, miss);
+    else
+        nextLineTargets(lineAddr, miss);
+    return targets_;
 }
 
-std::vector<Addr>
+void
 Prefetcher::nextLineTargets(Addr lineAddr, bool miss)
 {
-    std::vector<Addr> out;
     if (!miss && lineAddr != lastTrigger_)
-        return out;
+        return;
     lastTrigger_ = lineAddr;
     for (unsigned i = 0; i < params_.degree; ++i)
-        out.push_back(lineAddr
-                      + static_cast<Addr>(params_.distance + i)
-                            * lineBytes_);
-    return out;
+        targets_.push_back(lineAddr
+                           + static_cast<Addr>(params_.distance + i)
+                                 * lineBytes_);
 }
 
-std::vector<Addr>
+void
 Prefetcher::strideTargets(Addr lineAddr, bool miss)
 {
-    std::vector<Addr> out;
     if (!miss && lineAddr != lastTrigger_)
-        return out;
+        return;
     lastTrigger_ = lineAddr;
 
     if (strideTable_.empty())
@@ -69,7 +69,7 @@ Prefetcher::strideTargets(Addr lineAddr, bool miss)
         e.lastAddr = lineAddr;
         e.delta = 0;
         e.confidence = 0;
-        return out;
+        return;
     }
 
     std::int64_t delta = static_cast<std::int64_t>(lineAddr)
@@ -90,10 +90,9 @@ Prefetcher::strideTargets(Addr lineAddr, bool miss)
                 + e.delta
                       * static_cast<std::int64_t>(params_.distance + i);
             if (target > 0)
-                out.push_back(static_cast<Addr>(target));
+                targets_.push_back(static_cast<Addr>(target));
         }
     }
-    return out;
 }
 
 

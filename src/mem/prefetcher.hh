@@ -46,9 +46,9 @@ class Prefetcher
     /**
      * Called on every demand miss (and on hits to previously prefetched
      * lines, which re-arm the stream). @return line addresses to
-     * prefetch.
+     * prefetch, in a buffer the next call overwrites.
      */
-    std::vector<Addr> onAccess(Addr lineAddr, bool miss);
+    const std::vector<Addr> &onAccess(Addr lineAddr, bool miss);
 
     /** Stats hooks driven by the hierarchy. */
     void noteIssued() { ++issued_; }
@@ -57,8 +57,8 @@ class Prefetcher
     template <class Io> void io(Io &s);
 
   private:
-    std::vector<Addr> nextLineTargets(Addr lineAddr, bool miss);
-    std::vector<Addr> strideTargets(Addr lineAddr, bool miss);
+    void nextLineTargets(Addr lineAddr, bool miss);
+    void strideTargets(Addr lineAddr, bool miss);
 
     PrefetcherParams params_;
     unsigned lineBytes_;
@@ -73,6 +73,8 @@ class Prefetcher
         unsigned confidence = 0;
     };
     std::vector<StrideEntry> strideTable_;
+    /** onAccess()'s result, reused call to call (not state). */
+    std::vector<Addr> targets_;
 
     StatGroup stats_;
     Scalar &issued_;

@@ -55,20 +55,8 @@ degradeReasonName(DegradeReason reason)
 }
 
 bool
-Watchdog::observe()
+Watchdog::intervene()
 {
-    if (!params_.enabled || core_.halted())
-        return true;
-    std::uint64_t insts = core_.instsRetired();
-    if (insts != lastInsts_) {
-        lastInsts_ = insts;
-        windowStart_ = core_.cycles();
-        fruitless_ = 0;
-        return true;
-    }
-    if (core_.cycles() - windowStart_ < params_.stallCycles)
-        return true;
-
     // A full window with zero retirement: intervene. Degrading
     // speculation is always correctness-preserving (it rolls back to
     // committed state), so it is safe to try before giving up.
@@ -84,15 +72,6 @@ Watchdog::observe()
         return false;
     }
     return true;
-}
-
-Cycle
-Watchdog::skipBound() const
-{
-    if (!params_.enabled || core_.halted())
-        return invalidCycle;
-    Cycle deadline = windowStart_ + params_.stallCycles;
-    return deadline == 0 ? 0 : deadline - 1;
 }
 
 template <class Io>

@@ -53,7 +53,21 @@ class Watchdog
     }
 
     /** Observe one elapsed cycle. @return false on declared livelock. */
-    bool observe();
+    bool observe()
+    {
+        if (!params_.enabled || core_.halted())
+            return true;
+        std::uint64_t insts = core_.instsRetired();
+        if (insts != lastInsts_) {
+            lastInsts_ = insts;
+            windowStart_ = core_.cycles();
+            fruitless_ = 0;
+            return true;
+        }
+        if (core_.cycles() - windowStart_ < params_.stallCycles)
+            return true;
+        return intervene();
+    }
 
     /**
      * Latest cycle a fast-forward skip may advance the core to without
@@ -64,7 +78,13 @@ class Watchdog
      * cycles up to (deadline - 1) safe to skip. Unbounded when disabled
      * or the core has halted.
      */
-    Cycle skipBound() const;
+    Cycle skipBound() const
+    {
+        if (!params_.enabled || core_.halted())
+            return invalidCycle;
+        Cycle deadline = windowStart_ + params_.stallCycles;
+        return deadline == 0 ? 0 : deadline - 1;
+    }
 
     std::uint64_t recoveries() const { return recoveries_; }
     std::uint64_t interventions() const { return interventions_; }
@@ -85,6 +105,9 @@ class Watchdog
     template <class Io> void io(Io &s);
 
   private:
+    /** observe() after a full window with zero retirement. */
+    bool intervene();
+
     const WatchdogParams params_;
     Core &core_;
     std::uint64_t lastInsts_ = 0;

@@ -242,6 +242,17 @@ applyOverrides(MachineConfig &config, const Config &overrides)
                                             f.tlbPressureRate);
     f.forceAbortRate =
         overrides.getDouble("fault.force_abort_rate", f.forceAbortRate);
+    // Probabilities: NaN, infinities and values outside [0, 1] would
+    // draw nonsense (NaN even arms abort injection's RNG draws while
+    // reading as "off" to every `rate > 0` gate).
+    for (auto [key, rate] :
+         {std::pair{"fault.drop_fill_rate", f.dropFillRate},
+          std::pair{"fault.delay_fill_rate", f.delayFillRate},
+          std::pair{"fault.mshr_pressure_rate", f.mshrPressureRate},
+          std::pair{"fault.tlb_pressure_rate", f.tlbPressureRate},
+          std::pair{"fault.force_abort_rate", f.forceAbortRate}})
+        fatal_if(!(rate >= 0.0 && rate <= 1.0), "%s must be in [0, 1]",
+                 key);
     f.dqSqueeze = static_cast<unsigned>(
         overrides.getUint("fault.dq_squeeze", f.dqSqueeze));
     f.ssqSqueeze = static_cast<unsigned>(

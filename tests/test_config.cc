@@ -203,3 +203,31 @@ TEST(ConfigResult, ZeroSizedWindowsAreRejected)
         EXPECT_TRUE(trapFatal([&] { applyOverrides(mc, c); }).ok());
     }
 }
+
+TEST(ConfigResult, FaultRatesOutOfRangeAreRejected)
+{
+    for (const char *key :
+         {"fault.drop_fill_rate", "fault.delay_fill_rate",
+          "fault.mshr_pressure_rate", "fault.tlb_pressure_rate",
+          "fault.force_abort_rate"}) {
+        for (const char *bad : {"nan", "-nan", "inf", "-inf", "-1", "1e9",
+                                "1.0000001", "-1e-300"}) {
+            SCOPED_TRACE(std::string(key) + "=" + bad);
+            Config c;
+            c.set(key, std::string(bad));
+            MachineConfig mc = makePreset("sst2");
+            auto r = trapFatal([&] { applyOverrides(mc, c); });
+            ASSERT_FALSE(r.ok());
+            EXPECT_EQ(r.error().exitCode, exit_code::badInput);
+            EXPECT_EQ(r.error().message,
+                      std::string(key) + " must be in [0, 1]");
+        }
+        for (const char *good : {"0", "1", "0.5", "1e-4", "4.9e-324"}) {
+            SCOPED_TRACE(std::string(key) + "=" + good);
+            Config c;
+            c.set(key, std::string(good));
+            MachineConfig mc = makePreset("sst2");
+            EXPECT_TRUE(trapFatal([&] { applyOverrides(mc, c); }).ok());
+        }
+    }
+}

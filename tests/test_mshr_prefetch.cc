@@ -142,6 +142,96 @@ TEST(Mshr, HorizonMatchesScanAcrossResetInvalidateAndIo)
     }
 }
 
+TEST(Mshr, DemandCountAndIndexMatchScan)
+{
+    // The demand count and the line index against a plain entry list
+    // scanned the way the file itself once was: allocations with and
+    // without a preceding expire(now), duplicate lines (also after an
+    // invalidate), expiry, reset, invalidate and io round trips.
+    using Entry = MshrFile::Entry;
+    const unsigned cap = 6;
+    std::vector<Entry> ref;
+    StatGroup sg("t");
+    auto m = std::make_unique<MshrFile>("m", cap, sg);
+    Rng rng(0x64656d64);
+    Cycle now = 0;
+    auto scanDemand = [&] {
+        unsigned n = 0;
+        for (const Entry &e : ref)
+            n += e.demand && e.completion > now;
+        return n;
+    };
+    for (int step = 0; step < 50'000; ++step) {
+        now += rng.below(3);
+        Addr line = rng.below(8) * 64;
+        switch (rng.below(24)) {
+          case 0:
+            m->reset();
+            ref.clear();
+            break;
+          case 1: case 2:
+            m->invalidate(line);
+            for (Entry &e : ref)
+                if (e.lineAddr == line)
+                    e.lineAddr = invalidAddr;
+            break;
+          case 3: {
+            snap::Writer w;
+            m->io(w);
+            auto restored = std::make_unique<MshrFile>("m", cap, sg);
+            snap::Reader rd(w.data());
+            restored->io(rd);
+            rd.done();
+            m = std::move(restored);
+            break;
+          }
+          case 4: case 5: case 6: case 7:
+            m->expire(now);
+            std::erase_if(ref,
+                          [&](const Entry &e) { return e.completion <= now; });
+            break;
+          default: {
+            // Half the allocations skip expire(now); any line may be
+            // allocated again while an entry for it is in flight.
+            if (rng.below(2)) {
+                m->expire(now);
+                std::erase_if(ref, [&](const Entry &e) {
+                    return e.completion <= now;
+                });
+            }
+            if (ref.size() >= cap)
+                break;
+            bool demand = rng.below(3) != 0;
+            Cycle done = now + 1 + rng.below(40);
+            std::uint64_t sumBefore = m->mlpDist().sum();
+            std::uint64_t want = demand ? scanDemand() + 1 : 0;
+            m->allocate(line, done, demand, now);
+            ASSERT_EQ(m->mlpDist().sum() - sumBefore, want)
+                << "MLP sample at step " << step;
+            ref.push_back(Entry{line, done, demand});
+            break;
+          }
+        }
+        ASSERT_EQ(m->entries().size(), ref.size()) << "step " << step;
+        for (std::size_t i = 0; i < ref.size(); ++i) {
+            ASSERT_EQ(m->entries()[i].lineAddr, ref[i].lineAddr);
+            ASSERT_EQ(m->entries()[i].completion, ref[i].completion);
+            ASSERT_EQ(m->entries()[i].demand, ref[i].demand);
+        }
+        ASSERT_EQ(m->outstandingDemand(now), scanDemand()) << "step " << step;
+        for (Addr probe : {line, Addr{0}, Addr{7 * 64}, invalidAddr}) {
+            Cycle want = invalidCycle;
+            for (const Entry &e : ref)
+                if (e.lineAddr == probe) {
+                    want = e.completion;
+                    break;
+                }
+            ASSERT_EQ(m->pendingCompletion(probe), want)
+                << "step " << step << " line " << probe;
+        }
+    }
+}
+
 TEST(MshrDeath, OverAllocatePanics)
 {
     StatGroup sg("t");

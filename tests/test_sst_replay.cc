@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
+#include "common/rng.hh"
+#include "core/seqring.hh"
 #include "sim_test_util.hh"
 
 using namespace sst;
@@ -277,4 +281,103 @@ TEST(Replay, SuppressionGuardBreaksRepeatedFailLoops)
     Cycle c = r.run(2'000'000);
     EXPECT_TRUE(r.core->halted()) << "livelock: " << c << " cycles";
     EXPECT_TRUE(r.archMatchesGolden());
+}
+
+TEST(Replay, RestoreMidSpeculationRebuildsDqCountAndRing)
+{
+    // The DQ occupancy counter and the replay-result ring are derived
+    // state that snapshots do not carry. Restored in mid-speculation
+    // (several live epochs, parked entries, published results), both
+    // must equal what the epochs and the saved result list say, and
+    // the two machines must stay byte-identical afterwards.
+    Program program = workloadProgram("hash_join");
+    MachineConfig mc = makePreset("sst4");
+    Machine m(mc, program);
+    auto &core = dynamic_cast<SstCore &>(m.core());
+    Machine r(mc, program);
+    auto &rc = dynamic_cast<SstCore &>(r.core());
+    r.stepTo(5000);
+    int restores = 0;
+    for (Cycle c = 1; c < 200'000 && restores < 8 && !core.halted(); ++c) {
+        m.stepTo(c);
+        ASSERT_EQ(core.dqOccupancy(), core.dqRecount()) << "cycle " << c;
+        if (core.liveEpochs() < 2 || core.dqOccupancy() == 0
+            || core.replayResultList().empty())
+            continue;
+        ASSERT_TRUE(core.replayRingConsistent()) << "cycle " << c;
+        // Restore over a machine with speculation of its own in flight
+        // (the previous round's), so stale derived state would show.
+        r.restore(m.snapshot());
+        EXPECT_GE(rc.liveEpochs(), 2u);
+        EXPECT_EQ(rc.dqOccupancy(), rc.dqRecount()) << "cycle " << c;
+        EXPECT_EQ(rc.dqOccupancy(), core.dqOccupancy()) << "cycle " << c;
+        EXPECT_EQ(rc.replayResultList(), core.replayResultList())
+            << "cycle " << c;
+        EXPECT_TRUE(rc.replayRingConsistent()) << "cycle " << c;
+        r.stepTo(c + 3000);
+        m.stepTo(c + 3000);
+        EXPECT_EQ(r.stateHash(), m.stateHash()) << "cycle " << c;
+        EXPECT_EQ(rc.dqOccupancy(), rc.dqRecount());
+        c += 3000;
+        ++restores;
+    }
+    EXPECT_GE(restores, 3);
+}
+
+TEST(SeqRing, MatchesMapUnderGrowthAndErasure)
+{
+    // Against an ordered map: live windows far wider than the initial
+    // ring (forcing growth with values in flight), overwrites,
+    // predicate erasure and clears.
+    SeqRing<std::uint64_t> ring(16);
+    std::map<SeqNum, std::uint64_t> ref;
+    Rng rng(0x5e9);
+    SeqNum base = 1;
+    for (int step = 0; step < 60'000; ++step) {
+        SeqNum width = 1 + (step / 500 % 3 == 2 ? 5000 : 40);
+        SeqNum seq = base + rng.below(width);
+        switch (rng.below(50)) {
+          case 0:
+            // A fresh ring now and then, so growth keeps recurring.
+            if (rng.below(4) == 0)
+                ring = SeqRing<std::uint64_t>(16);
+            else
+                ring.clear();
+            ref.clear();
+            break;
+          case 1: {
+            SeqNum bound = base + rng.below(width);
+            ring.eraseIf([&](SeqNum s) { return s < bound && s % 3 != 0; });
+            std::erase_if(ref, [&](const auto &kv) {
+                return kv.first < bound && kv.first % 3 != 0;
+            });
+            break;
+          }
+          case 2:
+            base += rng.below(30);
+            break;
+          default:
+            if (rng.below(2)) {
+                std::uint64_t v = rng.next();
+                ring.set(seq, v);
+                ref[seq] = v;
+            }
+            break;
+        }
+        const std::uint64_t *got = ring.find(seq);
+        auto it = ref.find(seq);
+        ASSERT_EQ(got != nullptr, it != ref.end()) << "step " << step;
+        if (got) {
+            ASSERT_EQ(*got, it->second) << "step " << step;
+        }
+        if (step % 251 == 0) {
+            ASSERT_TRUE(ring.consistent()) << "step " << step;
+            ASSERT_EQ(ring.size(), ref.size());
+            for (const auto &[k, v] : ref) {
+                ASSERT_NE(ring.find(k), nullptr) << "step " << step;
+                ASSERT_EQ(*ring.find(k), v) << "step " << step;
+            }
+        }
+    }
+    EXPECT_GT(ring.slots(), 16u); // the wide windows grew it
 }

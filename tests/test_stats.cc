@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/stats.hh"
 
 using namespace sst;
@@ -82,6 +84,49 @@ TEST(Distribution, Reset)
     EXPECT_EQ(d.count(), 0u);
     EXPECT_EQ(d.sum(), 0u);
     EXPECT_EQ(d.buckets()[1], 0u);
+}
+
+TEST(Distribution, BucketIndexMatchesDivision)
+{
+    // Bucket selection is divide-free (a shift or a 32-bit reciprocal):
+    // every sample must land where v / width puts it, at both batch
+    // sizes, for power-of-two and odd widths, at the overflow edge, and
+    // for a range too wide for the reciprocal.
+    struct Geometry
+    {
+        std::uint64_t max;
+        unsigned buckets;
+    };
+    for (Geometry g : {Geometry{65, 16}, Geometry{64, 32}, Geometry{4096, 32},
+                       Geometry{1000, 7}, Geometry{3, 3}, Geometry{1, 1},
+                       Geometry{(std::uint64_t{1} << 32) - 5, 3},
+                       Geometry{std::uint64_t{1} << 40, 3}}) {
+        Distribution d;
+        d.init(g.max, g.buckets);
+        const std::uint64_t w = d.bucketWidth();
+        std::vector<std::uint64_t> want(g.buckets, 0);
+        std::uint64_t overflow = 0;
+        auto expect = [&](std::uint64_t v, std::uint64_t n) {
+            std::uint64_t idx = v / w;
+            if (idx < g.buckets)
+                want[idx] += n;
+            else
+                overflow += n;
+        };
+        const std::uint64_t top = w * g.buckets;
+        std::vector<std::uint64_t> probes = {0, 1, w - 1, w, w + 1,
+                                             top - 1, top, top + 1};
+        for (std::uint64_t k = 0; k < 3000; ++k)
+            probes.push_back((k * 0x9E3779B97F4A7C15ull) % (top + 2));
+        for (std::uint64_t v : probes) {
+            d.sample(v);
+            expect(v, 1);
+            d.sample(v, 3);
+            expect(v, 3);
+        }
+        EXPECT_EQ(d.buckets(), want) << "max " << g.max;
+        EXPECT_EQ(d.overflow(), overflow) << "max " << g.max;
+    }
 }
 
 TEST(StatGroup, ScalarRegistrationAndDump)
