@@ -83,8 +83,8 @@ main()
         wp.seed = 1234; // an independent co-runner of the same kind
         Workload w1 = makeWorkload(wname, wp);
 
-        RunResult base = runPreset("inorder", w0);
-        RunResult sst = runPreset("sst2", w0);
+        RunResult base = runVerified("inorder", wname).result;
+        RunResult sst = runVerified("sst2", wname).result;
         CmtResult cmt = runCmt(w0, w1);
 
         double latency_win = static_cast<double>(cmt.thread0Cycles)

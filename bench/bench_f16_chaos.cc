@@ -22,13 +22,13 @@ namespace
 {
 
 RunResult
-runWithFaults(const Workload &wl, double rate)
+runWithFaults(const std::string &workload, double rate)
 {
-    return runConfigured("sst4", wl, [&](MachineConfig &cfg) {
-        cfg.mem.fault.seed = 7;
-        cfg.mem.fault.dropFillRate = rate;
-        cfg.mem.fault.delayFillRate = 10 * rate;
-    });
+    Config faults;
+    faults.set("fault.seed", "7");
+    faults.set("fault.drop_fill_rate", jsonNumber(rate));
+    faults.set("fault.delay_fill_rate", jsonNumber(10 * rate));
+    return runVerified("sst4", workload, faults).result;
 }
 
 } // namespace
@@ -41,7 +41,6 @@ main()
 
     const std::vector<double> rates = {1e-5, 1e-4};
 
-    WorkloadSet set;
     Table t("fault-rate sweep");
     t.setHeader({"workload", "clean IPC", "IPC@1e-5", "IPC@1e-4",
                  "retained%", "injected", "recoveries"});
@@ -49,17 +48,16 @@ main()
     std::vector<std::vector<std::string>> csv;
     std::vector<double> retained;
     for (const auto &wname : allWorkloadNames()) {
-        const Workload &wl = set.get(wname);
-        RunResult clean = runWithFaults(wl, 0.0);
+        RunResult clean = runWithFaults(wname, 0.0);
 
         std::vector<RunResult> runs;
         for (double rate : rates)
-            runs.push_back(runWithFaults(wl, rate));
+            runs.push_back(runWithFaults(wname, rate));
         const RunResult &worst = runs.back();
 
         double keep = clean.ipc > 0 ? 100.0 * worst.ipc / clean.ipc : 0;
-        double injected = statOf(worst, "fault.injected");
-        double recoveries = statOf(worst, "watchdog.recoveries");
+        double injected = worst.stats.at("fault.injected");
+        double recoveries = worst.stats.at("watchdog.recoveries");
         retained.push_back(keep / 100.0);
 
         t.addRow({wname, Table::num(clean.ipc, 4),

@@ -27,8 +27,6 @@ main()
     const std::vector<std::string> presets = {
         "inorder", "scout",     "ea",        "sst2",    "sst4",
         "ooo-small", "ooo-large", "ooo-huge"};
-    WorkloadSet set;
-
     struct Agg
     {
         std::vector<double> ipc;
@@ -39,15 +37,11 @@ main()
     std::map<std::string, Agg> agg;
 
     for (const auto &wname : commercialWorkloadNames()) {
-        const Workload &wl = set.get(wname);
         for (const auto &p : presets) {
-            MachineConfig cfg = makePreset(p);
-            Machine machine(cfg, wl.program);
-            RunResult r = machine.run();
-            fatal_if(!r.finished, "%s did not finish", p.c_str());
-            PowerEstimate pe = estimatePower(machine.core());
+            exp::RunOutcome run = runVerified(p, wname);
+            PowerEstimate pe = estimatePower(run.machine->core());
             Agg &a = agg[p];
-            a.ipc.push_back(r.ipc);
+            a.ipc.push_back(run.result.ipc);
             a.area = pe.coreArea; // config-determined, same every run
             a.power += pe.avgPower();
             ++a.n;
@@ -84,12 +78,12 @@ main()
     Table items("per-structure area breakdown");
     items.setHeader({"preset", "structure", "area"});
     for (const auto &p : {std::string("sst2"), std::string("ooo-large")}) {
-        WorkloadParams wp = benchWorkloadParams();
-        wp.lengthScale *= 0.1;
-        Workload wl = makeWorkload("oltp_mix", wp);
-        Machine machine(makePreset(p), wl.program);
-        machine.run();
-        PowerEstimate pe = estimatePower(machine.core());
+        // Area is config-determined: a short run builds the core.
+        Config shortRun;
+        shortRun.set("length_scale",
+                     jsonNumber(0.1 * benchWorkloadParams().lengthScale));
+        exp::RunOutcome run = runVerified(p, "oltp_mix", shortRun);
+        PowerEstimate pe = estimatePower(run.machine->core());
         for (const auto &kv : pe.areaItems)
             items.addRow({p, kv.first, Table::num(kv.second, 2)});
     }

@@ -1,6 +1,8 @@
 /**
  * @file
- * Shared helpers for the paper-reproduction bench binaries.
+ * Shared helpers for the bench binaries: the figures that are not a
+ * sweep over presets x workloads x config values (those are manifests
+ * under examples/figures/) and the host-time benches.
  *
  * Every bench prints (a) a human-readable table and (b) a CSV block
  * bracketed by BEGIN_CSV/END_CSV for plotting. Scale all run lengths
@@ -18,10 +20,12 @@
 #include <string>
 #include <vector>
 
+#include "common/config.hh"
 #include "common/logging.hh"
+#include "common/stats.hh"
 #include "common/table.hh"
+#include "exp/run.hh"
 #include "exp/threadpool.hh"
-#include "sim/machine.hh"
 #include "workloads/workloads.hh"
 
 namespace sst::bench
@@ -115,38 +119,30 @@ geomean(const std::vector<double> &v)
     return std::exp(acc / static_cast<double>(v.size()));
 }
 
-/** Run one preset (with optional config mutation) on one workload. */
-template <typename Mutator>
-RunResult
-runConfigured(const std::string &preset, const Workload &wl,
-              Mutator &&mutate)
+/**
+ * Run @p preset on @p workload through the run pipeline (exp/run.hh)
+ * at the bench length (unless @p request sets length_scale), with the
+ * request's machine keys on top, and check the final state against
+ * the golden executor. Fatal unless the run finishes and matches. The
+ * outcome keeps the machine for the power model.
+ */
+inline exp::RunOutcome
+runVerified(const std::string &preset, const std::string &workload,
+            Config request = {})
 {
-    MachineConfig cfg = makePreset(preset);
-    mutate(cfg);
-    Machine machine(cfg, wl.program);
-    RunResult r = machine.run();
-    fatal_if(!r.finished, "%s on %s did not finish", preset.c_str(),
-             wl.name.c_str());
-    return r;
-}
-
-inline RunResult
-runPreset(const std::string &preset, const Workload &wl)
-{
-    return runConfigured(preset, wl, [](MachineConfig &) {});
-}
-
-/** Fetch a stat by suffix from a RunResult. */
-inline double
-statOf(const RunResult &r, const std::string &suffix)
-{
-    for (const auto &kv : r.stats)
-        if (kv.first.size() >= suffix.size()
-            && kv.first.compare(kv.first.size() - suffix.size(),
-                                suffix.size(), suffix)
-                   == 0)
-            return kv.second;
-    return 0.0;
+    request.set("preset", preset);
+    request.set("workload", workload);
+    if (!request.has("length_scale"))
+        request.set("length_scale",
+                    jsonNumber(benchWorkloadParams().lengthScale));
+    auto target = exp::resolveRun(request);
+    fatal_if(!target.ok(), "%s", target.error().message.c_str());
+    auto run = exp::executeRun(target.value(), target.value().options);
+    fatal_if(!run.ok(), "%s", run.error().message.c_str());
+    fatal_if(!run.value().result.finished || !run.value().archOk,
+             "%s on %s did not finish with the golden state",
+             preset.c_str(), workload.c_str());
+    return run.take();
 }
 
 /** Print the standard bench banner. */

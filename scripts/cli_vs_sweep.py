@@ -3,17 +3,18 @@
 
     python3 scripts/cli_vs_sweep.py [sstsim-binary]
 
-Runs one detailed job and one library-sampled job through `sstsim
-sweep`, then replays each record through `sstsim key=value json=true`
-with the record's preset, workload, workload_seed, length_scale and
+Runs two detailed jobs (a preset and a named variant of it) and one
+library-sampled job through `sstsim sweep`, then replays each record
+through `sstsim key=value json=true` with the record's preset (a
+variant's base_preset), workload, workload_seed, length_scale and
 config (plus the manifest's sampling schedule for the sampled job), and
 requires the same cycles, instructions and IPC. Both front ends resolve
 and execute through one pipeline (src/exp/run.hh), so any difference
 is a drift bug. Exits 0 when every job agrees, 1 otherwise.
 
 The detailed replay prints its stat tree with six significant digits
-(StatGroup::dumpJson), so the detailed job is kept under a million
-cycles and its IPC is compared at that precision. The sampled replay
+(StatGroup::dumpJson), so the detailed jobs are kept under a million
+cycles and their IPC is compared at that precision. The sampled replay
 prints the full-precision IPC plus detailed_insts and skipped_insts,
 which sum to the library's instruction count; the estimated cycles are
 that count over the IPC, exactly as the sweep computes them.
@@ -30,7 +31,8 @@ DETAILED = """\
 sweep.name = cli-vs-sweep-detailed
 sweep.seed = 11
 sweep.length_scale = 0.1
-preset = sst2
+variant.sst2-l2t = sst2 core.defer_on_l2_miss_only=true
+preset = sst2, sst2-l2t
 workload = hash_join
 fault.drop_fill_rate = 1e-4
 """
@@ -50,8 +52,8 @@ SAMPLED_KEYS = ["sample=true", "detail=5000", "regions=4",
                 "region_insts=20000"]
 
 
-def sweep_record(sstsim, scratch, name, manifest):
-    """Run a one-job manifest through `sstsim sweep`; its one record."""
+def sweep_records(sstsim, scratch, name, manifest):
+    """Run a manifest through `sstsim sweep`; its header and records."""
     cfg = os.path.join(scratch, name + ".cfg")
     out = os.path.join(scratch, name + ".json")
     with open(cfg, "w") as f:
@@ -60,15 +62,14 @@ def sweep_record(sstsim, scratch, name, manifest):
                    check=True)
     with open(out) as f:
         doc = json.load(f)
-    assert len(doc["records"]) == 1, "manifest must expand to one job"
-    record = doc["records"][0]
-    assert record["ran"] and record["finished"], record["error"]
-    return doc["sweep"], record
+    for record in doc["records"]:
+        assert record["ran"] and record["finished"], record["error"]
+    return doc["sweep"], doc["records"]
 
 
 def replay(sstsim, sweep, record, extra):
     """The record as a plain `sstsim key=value json=true` run."""
-    argv = [sstsim, "preset=" + record["preset"],
+    argv = [sstsim, "preset=" + record.get("base_preset", record["preset"]),
             "workload=" + record["workload"],
             "seed=%d" % record["workload_seed"],
             "length_scale=%r" % sweep["length_scale"]]
@@ -98,17 +99,23 @@ def main():
                              else "build/tools/sstsim")
     scratch = tempfile.mkdtemp(prefix="cli-vs-sweep.")
     try:
-        sweep, record = sweep_record(sstsim, scratch, "detailed", DETAILED)
-        assert record["cycles"] < 1000000, "keep the detailed job small"
-        stats = replay(sstsim, sweep, record, [])
-        ok = check("detailed",
-                   (record["cycles"], record["insts"],
-                    float("%.6g" % record["ipc"])),
-                   (int(stat(stats, "cycles")),
-                    int(stat(stats, "committed_insts")),
-                    float("%.6g" % stat(stats, "ipc"))))
+        ok = True
+        sweep, records = sweep_records(sstsim, scratch, "detailed",
+                                       DETAILED)
+        assert [r.get("base_preset") for r in records] == [None, "sst2"], \
+            "expected sst2 and its variant"
+        for record in records:
+            assert record["cycles"] < 1000000, "keep the detailed jobs small"
+            stats = replay(sstsim, sweep, record, [])
+            ok = check("detailed " + record["preset"],
+                       (record["cycles"], record["insts"],
+                        float("%.6g" % record["ipc"])),
+                       (int(stat(stats, "cycles")),
+                        int(stat(stats, "committed_insts")),
+                        float("%.6g" % stat(stats, "ipc")))) and ok
 
-        sweep, record = sweep_record(sstsim, scratch, "sampled", SAMPLED)
+        sweep, (record,) = sweep_records(sstsim, scratch, "sampled",
+                                         SAMPLED)
         est = replay(sstsim, sweep, record, SAMPLED_KEYS)
         assert est["from_library"], "replay did not use a library"
         insts = est["detailed_insts"] + est["skipped_insts"]

@@ -7,7 +7,8 @@
  * a branch whose operands are NA cannot be resolved by the ahead strand
  * at all, so it is *predicted and deferred*, and a wrong prediction is
  * only discovered at DQ replay — costing a full checkpoint rollback.
- * bench_f11 sweeps predictor quality to expose that sensitivity.
+ * Figure F11 (examples/figures/f11_branches.cfg) sweeps predictor
+ * quality to expose that sensitivity.
  */
 
 #ifndef SSTSIM_BRANCH_PREDICTOR_HH

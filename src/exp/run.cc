@@ -1,6 +1,7 @@
 #include "exp/run.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -189,6 +190,14 @@ resolveRun(const Config &request, WorkloadSet set)
         return valid.error();
     if (auto combined = checkCombinations(request); !combined.ok())
         return combined.error();
+    for (const char *key : {"length_scale", "footprint_scale"}) {
+        auto scale = request.tryGetDouble(key, 1.0);
+        if (!scale.ok())
+            return scale.error();
+        if (!std::isfinite(scale.value()) || scale.value() <= 0)
+            return Error{std::string(key)
+                         + " must be a positive finite number"};
+    }
 
     RunTarget target;
     std::string workload = request.getString("workload", "oltp_mix");

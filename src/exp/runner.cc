@@ -14,6 +14,7 @@
 #include "exp/run.hh"
 #include "exp/threadpool.hh"
 #include "snap/snap.hh"
+#include "workloads/workloads.hh"
 
 namespace sst::exp
 {
@@ -22,8 +23,11 @@ namespace
 {
 
 /**
- * Per-job record schema (schema_version 1; all keys always present):
+ * Per-job record schema (schema_version 1; all keys present except
+ * base_preset):
  *   index, preset, workload, repeat       job identity
+ *   base_preset                           a variant job's base preset
+ *                                         (present for variants only)
  *   job_seed, workload_seed               seeding (rng.hh deriveSeed)
  *   config                               effective overrides (strings)
  *   ran, error                            did the job execute at all
@@ -54,6 +58,8 @@ buildRecord(const JobOutcome &out, const Config &effectiveConfig,
     std::string j = "{";
     j += "\"index\":" + std::to_string(spec.index);
     j += ",\"preset\":\"" + jsonEscape(spec.preset) + '"';
+    if (!spec.basePreset.empty())
+        j += ",\"base_preset\":\"" + jsonEscape(spec.basePreset) + '"';
     j += ",\"workload\":\"" + jsonEscape(spec.workload) + '"';
     j += ",\"repeat\":" + std::to_string(spec.repeat);
     j += ",\"job_seed\":" + std::to_string(spec.jobSeed);
@@ -308,7 +314,8 @@ Config
 jobRequest(const SweepSpec &sweep, const JobSpec &job)
 {
     Config request = job.overrides;
-    request.set("preset", job.preset);
+    request.set("preset", job.basePreset.empty() ? job.preset
+                                                 : job.basePreset);
     request.set("workload", job.workload);
     request.set("seed", job.workloadSeed);
     // Shortest round-trip text, so the resolver reads the exact scale.
@@ -612,10 +619,11 @@ baselineTable(const SweepSpec &spec, const ResultSink &sink)
             baseCycles[out.spec.pointKey] =
                 static_cast<double>(out.result.cycles);
 
-    // log-speedup accumulators per (preset, workload) and per preset.
+    // log-speedup accumulators per (preset, workload), per (preset,
+    // workload category) and per preset.
     std::map<std::pair<std::string, std::string>,
              std::pair<double, std::size_t>>
-        cell;
+        cell, byCategory;
     std::map<std::string, std::pair<double, std::size_t>> overall;
     for (const auto &out : sink.outcomes()) {
         if (out.spec.preset == spec.baseline || !out.ran
@@ -627,12 +635,14 @@ baselineTable(const SweepSpec &spec, const ResultSink &sink)
         double ratio =
             base->second / static_cast<double>(out.result.cycles);
         double lg = std::log(std::max(ratio, 1e-12));
-        auto &c = cell[{out.spec.preset, out.spec.workload}];
-        c.first += lg;
-        ++c.second;
-        auto &o = overall[out.spec.preset];
-        o.first += lg;
-        ++o.second;
+        for (auto *acc :
+             {&cell[{out.spec.preset, out.spec.workload}],
+              &byCategory[{out.spec.preset,
+                           workloadCategory(out.spec.workload)}],
+              &overall[out.spec.preset]}) {
+            acc->first += lg;
+            ++acc->second;
+        }
     }
 
     auto geo = [](const std::pair<double, std::size_t> &acc) {
@@ -641,28 +651,36 @@ baselineTable(const SweepSpec &spec, const ResultSink &sink)
                               / static_cast<double>(acc.second))
                    : 0.0;
     };
-    for (const auto &workload : spec.workloads) {
-        std::vector<std::string> row = {workload};
+    // One row per key: the presets' cells from @p accs, "-" if absent.
+    auto addRow = [&](const std::string &label, const auto &accs,
+                      auto keyOf) {
+        std::vector<std::string> row = {label};
         for (const auto &preset : spec.presets) {
             if (preset == spec.baseline)
                 continue;
-            auto it = cell.find({preset, workload});
-            row.push_back(it == cell.end() ? "-"
+            auto it = accs.find(keyOf(preset));
+            row.push_back(it == accs.end() ? "-"
                                            : Table::num(geo(it->second),
                                                         2));
         }
         t.addRow(row);
+    };
+    std::vector<std::string> categories;
+    for (const auto &workload : spec.workloads) {
+        addRow(workload, cell, [&](const std::string &p) {
+            return std::pair{p, workload};
+        });
+        std::string category = workloadCategory(workload);
+        if (std::find(categories.begin(), categories.end(), category)
+            == categories.end())
+            categories.push_back(category);
     }
-    std::vector<std::string> row = {"GEOMEAN"};
-    for (const auto &preset : spec.presets) {
-        if (preset == spec.baseline)
-            continue;
-        auto it = overall.find(preset);
-        row.push_back(it == overall.end()
-                          ? "-"
-                          : Table::num(geo(it->second), 2));
-    }
-    t.addRow(row);
+    for (const auto &category : categories)
+        addRow("GEOMEAN " + category, byCategory,
+               [&](const std::string &p) {
+                   return std::pair{p, category};
+               });
+    addRow("GEOMEAN", overall, [](const std::string &p) { return p; });
     return t;
 }
 

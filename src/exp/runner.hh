@@ -224,8 +224,10 @@ Table aggregateTable(const SweepSpec &spec, const ResultSink &sink);
 
 /**
  * Baseline-relative speedups (geomean of baseline.cycles / job.cycles
- * over matching sweep points), one row per workload, one column per
- * preset. Only meaningful when spec.baseline is set.
+ * over matching sweep points), one column per preset: one row per
+ * workload, one per workload category (Workload::category, in manifest
+ * order) and one over everything. Only meaningful when spec.baseline
+ * is set.
  */
 Table baselineTable(const SweepSpec &spec, const ResultSink &sink);
 

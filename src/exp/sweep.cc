@@ -1,6 +1,9 @@
 #include "exp/sweep.hh"
 
 #include <algorithm>
+#include <cerrno>
+#include <cmath>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
@@ -38,6 +41,7 @@ sweepKeys()
         "sweep.sample_regions", "sweep.region_insts",
         "sweep.profile_cache",
         "preset",             "workload",
+        "seed",
     };
     return keys;
 }
@@ -47,6 +51,92 @@ lineError(const std::string &origin, unsigned line, const std::string &msg)
 {
     return Error{origin + ":" + std::to_string(line) + ": " + msg,
                  exit_code::badInput};
+}
+
+/** "unknown <what> '<name>'", plus the nearest name in @p known. */
+std::string
+unknownName(const std::string &what, const std::string &name,
+            const std::vector<std::string> &known)
+{
+    std::string msg = "unknown " + what + " '" + name + "'";
+    std::string near = closestMatch(name, known);
+    if (!near.empty())
+        msg += "; did you mean '" + near + "'?";
+    return msg;
+}
+
+/** Apply key=value to a scratch preset, so a bad machine-config value
+ *  fails at parse time instead of mid-sweep. */
+Result<void>
+checkAssignment(const std::string &key, const std::string &value)
+{
+    return trapFatal([&] {
+        MachineConfig scratch = makePreset("inorder");
+        Config one;
+        one.set(key, value);
+        applyOverrides(scratch, one);
+    });
+}
+
+/** `variant.<name> = <preset> key=value ...` on top of @p spec. */
+Result<void>
+parseVariant(SweepSpec &spec, const std::string &name,
+             const std::string &value)
+{
+    const std::vector<std::string> presets = presetNames();
+    if (name.empty() || name.find_first_of(", \t") != std::string::npos)
+        return Error{"variant name '" + name
+                     + "' must be non-empty, without commas or spaces"};
+    if (std::find(presets.begin(), presets.end(), name) != presets.end())
+        return Error{"variant '" + name + "' shadows a preset"};
+    if (spec.variant(name))
+        return Error{"variant '" + name + "' is defined twice"};
+
+    std::vector<std::string> words = splitList(value, ' ');
+    SweepSpec::Variant v{name, words.front(), {}};
+    if (std::find(presets.begin(), presets.end(), v.preset)
+        == presets.end())
+        return Error{unknownName("base preset", v.preset, presets)};
+    const std::vector<std::string> machineKeys = machineConfigKeys();
+    for (std::size_t i = 1; i < words.size(); ++i) {
+        std::size_t eq = words[i].find('=');
+        if (eq == std::string::npos || eq == 0)
+            return Error{"variant '" + name + "': expected key=value, got '"
+                         + words[i] + "'"};
+        std::string key = words[i].substr(0, eq);
+        std::string val = words[i].substr(eq + 1);
+        if (std::find(machineKeys.begin(), machineKeys.end(), key)
+            == machineKeys.end())
+            return Error{unknownName("machine key", key, machineKeys)};
+        if (auto checked = checkAssignment(key, val); !checked.ok())
+            return checked.error();
+        v.overrides.set(key, val);
+    }
+    spec.variants.push_back(std::move(v));
+    return {};
+}
+
+/** A workload scale: a finite number > 0. */
+Result<void>
+checkScale(const std::string &key, const std::string &value)
+{
+    char *end = nullptr;
+    double v = std::strtod(value.c_str(), &end);
+    if (end == value.c_str() || *end != '\0' || !std::isfinite(v) || v <= 0)
+        return Error{key + " must be a positive finite number"};
+    return {};
+}
+
+/** `seed`: a decimal unsigned 64-bit integer. */
+Result<std::uint64_t>
+parseSeed(const std::string &value)
+{
+    errno = 0;
+    unsigned long long v = std::strtoull(value.c_str(), nullptr, 10);
+    if (value.find_first_not_of("0123456789") != std::string::npos
+        || errno == ERANGE)
+        return Error{"seed '" + value + "' is not an unsigned integer"};
+    return static_cast<std::uint64_t>(v);
 }
 
 } // namespace
@@ -78,6 +168,7 @@ SweepSpec::parse(const std::string &text, const std::string &origin)
     std::stringstream ss(text);
     std::string raw;
     unsigned lineNo = 0;
+    unsigned presetLine = 0; // checked once every variant is known
     while (std::getline(ss, raw)) {
         ++lineNo;
         std::string line = raw;
@@ -96,61 +187,49 @@ SweepSpec::parse(const std::string &text, const std::string &origin)
             return lineError(origin, lineNo,
                              "empty key or value in '" + line + "'");
 
-        if (std::find(known.begin(), known.end(), key) == known.end()) {
-            std::string msg = "unknown manifest key '" + key + "'";
-            std::string near = closestMatch(key, known);
-            if (!near.empty())
-                msg += "; did you mean '" + near + "'?";
-            return lineError(origin, lineNo, msg);
+        if (key.rfind("variant.", 0) == 0) {
+            if (auto parsed = parseVariant(spec, key.substr(8), value);
+                !parsed.ok())
+                return lineError(origin, lineNo, parsed.error().message);
+            continue;
         }
+        if (std::find(known.begin(), known.end(), key) == known.end())
+            return lineError(origin, lineNo,
+                             unknownName("manifest key", key, known));
 
         if (key == "preset") {
             spec.presets = splitList(value, ',');
-            for (const auto &p : spec.presets) {
-                auto names = presetNames();
-                if (std::find(names.begin(), names.end(), p)
-                    == names.end()) {
-                    std::string msg = "unknown preset '" + p + "'";
-                    std::string near = closestMatch(p, names);
-                    if (!near.empty())
-                        msg += "; did you mean '" + near + "'?";
-                    return lineError(origin, lineNo, msg);
-                }
-            }
+            presetLine = lineNo;
         } else if (key == "workload") {
             spec.workloads = splitList(value, ',');
             for (const auto &w : spec.workloads) {
                 auto names = allWorkloadNames();
                 if (std::find(names.begin(), names.end(), w)
-                    == names.end()) {
-                    std::string msg = "unknown workload '" + w + "'";
-                    std::string near = closestMatch(w, names);
-                    if (!near.empty())
-                        msg += "; did you mean '" + near + "'?";
-                    return lineError(origin, lineNo, msg);
-                }
+                    == names.end())
+                    return lineError(origin, lineNo,
+                                     unknownName("workload", w, names));
             }
+        } else if (key == "seed") {
+            auto seed = parseSeed(value);
+            if (!seed.ok())
+                return lineError(origin, lineNo, seed.error().message);
+            spec.workloadSeed = seed.value();
         } else if (key.rfind("sweep.", 0) == 0) {
+            if (key == "sweep.length_scale" || key == "sweep.footprint_scale")
+                if (auto scale = checkScale(key, value); !scale.ok())
+                    return lineError(origin, lineNo, scale.error().message);
             driver.set(key, value);
         } else {
-            // A machine-config axis. Validate every value now by
-            // applying it to a scratch preset, so a typo fails at
-            // parse time with a line number instead of mid-sweep.
+            // A machine-config axis. Validate every value now, so a
+            // typo fails at parse time with a line number.
             std::vector<std::string> values = splitList(value, ',');
             if (values.empty())
                 return lineError(origin, lineNo,
                                  "axis '" + key + "' has no values");
-            for (const auto &v : values) {
-                auto checked = trapFatal([&] {
-                    MachineConfig scratch = makePreset("inorder");
-                    Config one;
-                    one.set(key, v);
-                    applyOverrides(scratch, one);
-                });
-                if (!checked.ok())
+            for (const auto &v : values)
+                if (auto checked = checkAssignment(key, v); !checked.ok())
                     return lineError(origin, lineNo,
                                      checked.error().message);
-            }
             // Re-assigning an axis replaces it (last line wins), like
             // Config::set overwriting a key.
             auto it = std::find_if(spec.axes.begin(), spec.axes.end(),
@@ -169,6 +248,19 @@ SweepSpec::parse(const std::string &text, const std::string &origin)
     if (spec.presets.empty())
         return Error{origin + ": manifest sets no 'preset'",
                      exit_code::badInput};
+    std::vector<std::string> runnable = presetNames();
+    for (const auto &v : spec.variants)
+        runnable.push_back(v.name);
+    for (const auto &p : spec.presets)
+        if (std::find(runnable.begin(), runnable.end(), p) == runnable.end())
+            return lineError(origin, presetLine,
+                             unknownName("preset", p, runnable));
+    for (const auto &v : spec.variants)
+        for (const auto &axis : spec.axes)
+            if (v.overrides.has(axis.key))
+                return Error{origin + ": variant '" + v.name + "' sets '"
+                                 + axis.key + "', which is also a sweep axis",
+                             exit_code::badInput};
     if (spec.workloads.empty())
         return Error{origin + ": manifest sets no 'workload'",
                      exit_code::badInput};
@@ -236,6 +328,15 @@ SweepSpec::parseFile(const std::string &path, std::string *text)
     return parse(ss.str(), path);
 }
 
+const SweepSpec::Variant *
+SweepSpec::variant(const std::string &name) const
+{
+    for (const auto &v : variants)
+        if (v.name == name)
+            return &v;
+    return nullptr;
+}
+
 std::size_t
 SweepSpec::pointCount() const
 {
@@ -274,7 +375,9 @@ SweepSpec::expand() const
                 // shared index space would seed the fault injector
                 // identically to the workload generator.
                 std::uint64_t workloadSeed =
-                    deriveSeed(baseSeed, 2 * pointOrdinal + 1);
+                    this->workloadSeed
+                        ? *this->workloadSeed
+                        : deriveSeed(baseSeed, 2 * pointOrdinal + 1);
                 for (const auto &preset : presets) {
                     JobSpec job;
                     job.index = jobs.size();
@@ -283,10 +386,15 @@ SweepSpec::expand() const
                     job.repeat = repeat;
                     job.jobSeed = deriveSeed(baseSeed, 2 * job.index);
                     job.workloadSeed = workloadSeed;
+                    if (const Variant *v = variant(preset)) {
+                        job.basePreset = v->preset;
+                        job.overrides = v->overrides;
+                    }
                     for (std::size_t i = 0; i < axes.size(); ++i)
                         job.overrides.set(axes[i].key,
                                           axes[i].values[counter[i]]);
-                    if (sweepsFaults && !explicitFaultSeed)
+                    if (sweepsFaults && !explicitFaultSeed
+                        && !job.overrides.has("fault.seed"))
                         job.overrides.set("fault.seed", job.jobSeed);
                     job.pointKey = workload + axisKey + "|r"
                                    + std::to_string(repeat);

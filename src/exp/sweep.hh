@@ -20,14 +20,20 @@
  *     workload = oltp_mix, hash_join
  *     mem.dram_base_latency = 120, 240, 480
  *
+ * A `variant.<name> = <preset> key=value ...` line names a preset plus
+ * fixed machine overrides; the name may then appear in `preset` (and
+ * `sweep.baseline`) like a preset. `seed = N` pins every job's
+ * workload seed, so all axis points of a workload run one program.
+ *
  * Seeding contract (see rng.hh deriveSeed): every job gets
  *   - jobSeed      = deriveSeed(sweep.seed, 2 * job index) — seeds the
  *     job's fault injector (unless the manifest pins fault.seed);
  *   - workloadSeed = deriveSeed(sweep.seed, 2 * point ordinal + 1) —
- *     seeds the workload generator. The point ordinal identifies the
- *     (workload, axis values, repeat) combination *excluding* the
- *     preset, so every preset at one sweep point runs the bit-identical
- *     program and baseline deltas compare like with like.
+ *     seeds the workload generator (or the pinned `seed`). The point
+ *     ordinal identifies the (workload, axis values, repeat)
+ *     combination *excluding* the preset, so every preset at one sweep
+ *     point runs the bit-identical program and baseline deltas compare
+ *     like with like.
  * The even/odd split domain-separates the two streams: job index and
  * point ordinal coincide whenever there is a single preset, and a
  * shared index space would correlate fault timing with workload
@@ -38,6 +44,7 @@
 #define SSTSIM_EXP_SWEEP_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -51,16 +58,18 @@ namespace sst::exp
 struct JobSpec
 {
     std::size_t index = 0; ///< position in expansion order
-    std::string preset;
+    std::string preset;    ///< a preset or a variant name
+    /** A variant's base preset; empty when @ref preset is a preset. */
+    std::string basePreset;
     std::string workload;
     unsigned repeat = 0;
     /** deriveSeed(sweep.seed, 2*index): job-local streams (faults). */
     std::uint64_t jobSeed = 0;
     /** deriveSeed(sweep.seed, 2*ordinal+1): workload generation. */
     std::uint64_t workloadSeed = 0;
-    /** Machine-config assignments for this job (axis values, plus
-     *  fault.seed = jobSeed when faults are swept without a pinned
-     *  seed). */
+    /** Machine-config assignments for this job (a variant's keys, axis
+     *  values, plus fault.seed = jobSeed when faults are swept without
+     *  a pinned seed). */
     Config overrides;
     /** Identity of the sweep point across presets — "workload|axis
      *  values|repeat" — the baseline-comparison join key. */
@@ -75,9 +84,19 @@ struct SweepSpec
         std::string key;
         std::vector<std::string> values;
     };
+    /** A named preset plus fixed overrides (`variant.<name>`). */
+    struct Variant
+    {
+        std::string name;
+        std::string preset;
+        Config overrides;
+    };
 
     std::string name = "sweep";
     std::uint64_t baseSeed = 42;
+    /** Workload seed of every job (`seed`); unset derives one per
+     *  sweep point from baseSeed. */
+    std::optional<std::uint64_t> workloadSeed;
     unsigned repeats = 1;
     /** Preset whose runs are the comparison baseline ("" = none). */
     std::string baseline;
@@ -104,9 +123,10 @@ struct SweepSpec
      *  (sweep.profile_cache; "" = none, each job builds in memory). */
     std::string profileCache;
 
-    std::vector<std::string> presets;
+    std::vector<std::string> presets; ///< presets and variant names
     std::vector<std::string> workloads;
     std::vector<Axis> axes; ///< manifest order; later axes spin fastest
+    std::vector<Variant> variants;
     /** True when the manifest pins fault.seed explicitly (an axis may
      *  still sweep it); otherwise jobs derive it from jobSeed. */
     bool explicitFaultSeed = false;
@@ -119,6 +139,9 @@ struct SweepSpec
      *  its bytes (the service broker ships them to workers). */
     static Result<SweepSpec> parseFile(const std::string &path,
                                        std::string *text = nullptr);
+
+    /** The variant named @p name, or null for a plain preset. */
+    const Variant *variant(const std::string &name) const;
 
     /** Jobs per preset (workloads x axes x repeats). */
     std::size_t pointCount() const;

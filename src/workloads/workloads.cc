@@ -19,11 +19,30 @@ namespace
 constexpr Addr resultAddr = 0x1f0000;
 constexpr Addr dataBase = 0x200000;
 
+// Largest scaled count (table entries, nodes, iterations) a generator
+// builds. The host holds a few words per element while it generates,
+// so a scale past this fails here rather than in the allocator.
+constexpr double maxScaledCount = 0x1p28;
+
+/** @p base * @p scale; fatal unless the scale is finite and > 0 and
+ *  the product is at most maxScaledCount. */
+double
+checkedScale(std::uint64_t base, double scale, const char *what)
+{
+    fatal_if(!std::isfinite(scale) || scale <= 0,
+             "%s must be a positive finite number", what);
+    double target = static_cast<double>(base) * scale;
+    fatal_if(target > maxScaledCount,
+             "%s %g is too large: a scaled count exceeds 2^28", what,
+             scale);
+    return target;
+}
+
 /** Round to the nearest power of two, at least @p floor. */
 std::uint64_t
 scalePow2(std::uint64_t base, double scale, std::uint64_t floor)
 {
-    double target = static_cast<double>(base) * scale;
+    double target = checkedScale(base, scale, "footprint_scale");
     std::uint64_t v = floor;
     while (static_cast<double>(v) * 1.5 < target)
         v <<= 1;
@@ -34,8 +53,17 @@ std::uint64_t
 scaleCount(std::uint64_t base, double scale)
 {
     auto v = static_cast<std::uint64_t>(
-        static_cast<double>(base) * scale);
+        checkedScale(base, scale, "length_scale"));
     return std::max<std::uint64_t>(v, 16);
+}
+
+/** Fatal unless both of @p params' scales are finite, > 0 and at most
+ *  maxScaledCount. */
+void
+checkScales(const WorkloadParams &params)
+{
+    checkedScale(1, params.lengthScale, "length_scale");
+    checkedScale(1, params.footprintScale, "footprint_scale");
 }
 
 /** xorshift64 in registers: x ^= x<<13; x ^= x>>7; x ^= x<<17. */
@@ -913,9 +941,21 @@ computeWorkloadNames()
             "matrix_blocked"};
 }
 
+std::string
+workloadCategory(const std::string &name)
+{
+    for (const auto &[category, names] :
+         {std::pair{"commercial", commercialWorkloadNames()},
+          std::pair{"compute", computeWorkloadNames()}})
+        if (std::find(names.begin(), names.end(), name) != names.end())
+            return category;
+    return "";
+}
+
 Workload
 makeWorkload(const std::string &name, const WorkloadParams &params)
 {
+    checkScales(params);
     if (name == "pointer_chase")
         return makePointerChase(params);
     if (name == "list_walk")
@@ -952,6 +992,7 @@ makeSharedWorkload(const std::string &name, unsigned cores,
                    const WorkloadParams &params)
 {
     fatal_if(cores == 0, "shared workload needs at least one core");
+    checkScales(params);
     std::vector<Workload> out;
     out.reserve(cores);
     for (unsigned core = 0; core < cores; ++core) {

@@ -92,6 +92,9 @@ std::vector<std::string> allWorkloadNames();
 std::vector<std::string> commercialWorkloadNames();
 /** Names in the "compute" class. */
 std::vector<std::string> computeWorkloadNames();
+/** Workload::category of @p name without building it: "commercial",
+ *  "compute", or "" for a name in neither class. */
+std::string workloadCategory(const std::string &name);
 
 /** Build a workload by name; unknown names are fatal. */
 Workload makeWorkload(const std::string &name,

@@ -291,6 +291,149 @@ TEST(SweepSpec, DerivesFaultSeedPerJobUnlessPinned)
 namespace
 {
 
+/** The parse error of @p manifest (fails the test if it parses). */
+Error
+parseError(const std::string &manifest)
+{
+    auto r = SweepSpec::parse(manifest, "m");
+    EXPECT_FALSE(r.ok()) << manifest;
+    return r.ok() ? Error{} : r.error();
+}
+
+/** @p e is bad input at line @p line of manifest "m" and says @p text. */
+void
+expectLineError(const Error &e, unsigned line, const std::string &text)
+{
+    EXPECT_EQ(e.exitCode, exit_code::badInput) << e.message;
+    EXPECT_NE(e.message.find("m:" + std::to_string(line) + ": "),
+              std::string::npos)
+        << e.message;
+    EXPECT_NE(e.message.find(text), std::string::npos) << e.message;
+}
+
+} // namespace
+
+TEST(SweepSpec, PinnedSeedGivesEveryJobOfAWorkloadOneProgram)
+{
+    SweepSpec spec =
+        SweepSpec::parse("sweep.seed = 7\nseed = 42\n"
+                         "preset = inorder, sst4\n"
+                         "workload = hash_join, stream\n"
+                         "core.dq_entries = 8, 256\n",
+                         "m")
+            .take();
+    auto jobs = spec.expand();
+    ASSERT_EQ(jobs.size(), 8u);
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        EXPECT_EQ(jobs[i].workloadSeed, 42u) << "job " << i;
+        EXPECT_EQ(jobs[i].jobSeed, deriveSeed(7, 2 * i)) << "job " << i;
+    }
+    // Unpinned, the axis points of one workload run different programs.
+    SweepSpec derived =
+        SweepSpec::parse("sweep.seed = 7\npreset = sst4\n"
+                         "workload = hash_join\n"
+                         "core.dq_entries = 8, 256\n",
+                         "m")
+            .take();
+    auto free = derived.expand();
+    ASSERT_EQ(free.size(), 2u);
+    EXPECT_NE(free[0].workloadSeed, free[1].workloadSeed);
+}
+
+TEST(SweepSpec, RejectsSeedThatIsNotAnUnsignedInteger)
+{
+    for (const char *seed : {"-1", "abc", "1.5", "0x10",
+                             "99999999999999999999"})
+        expectLineError(parseError(std::string("preset = sst2\n"
+                                               "workload = stream\n"
+                                               "seed = ")
+                                   + seed + "\n"),
+                        3, "is not an unsigned integer");
+}
+
+TEST(SweepSpec, VariantIsAPresetPlusOverrides)
+{
+    SweepSpec spec =
+        SweepSpec::parse("variant.sst2-l2t = sst2 "
+                         "core.defer_on_l2_miss_only=true core.dq_entries=32\n"
+                         "sweep.baseline = sst2-l2t\n"
+                         "preset = sst2, sst2-l2t\n"
+                         "workload = stream\n"
+                         "core.checkpoints = 2, 4\n",
+                         "m")
+            .take();
+    auto jobs = spec.expand();
+    ASSERT_EQ(jobs.size(), 4u);
+    EXPECT_EQ(jobs[0].preset, "sst2");
+    EXPECT_EQ(jobs[0].basePreset, "");
+    EXPECT_FALSE(jobs[0].overrides.has("core.defer_on_l2_miss_only"));
+    EXPECT_EQ(jobs[1].preset, "sst2-l2t");
+    EXPECT_EQ(jobs[1].basePreset, "sst2");
+    EXPECT_EQ(jobs[1].overrides.getString("core.defer_on_l2_miss_only", ""),
+              "true");
+    EXPECT_EQ(jobs[1].overrides.getString("core.dq_entries", ""), "32");
+    // The axis still applies, and both presets share the sweep point.
+    EXPECT_EQ(jobs[3].overrides.getString("core.checkpoints", ""), "4");
+    EXPECT_EQ(jobs[2].pointKey, jobs[3].pointKey);
+}
+
+TEST(SweepSpec, RejectsBadVariants)
+{
+    const std::string tail = "preset = sst2\nworkload = stream\n";
+    expectLineError(parseError("variant.x = sst3\n" + tail), 1,
+                    "unknown base preset 'sst3'; did you mean 'sst2'");
+    expectLineError(parseError("variant.x = sst2 core.checkpoint=2\n" + tail),
+                    1, "did you mean 'core.checkpoints'");
+    expectLineError(
+        parseError("variant.x = sst2 core.dq_entries=lots\n" + tail), 1,
+        "not an unsigned integer");
+    expectLineError(parseError("variant.x = sst2 core.dq_entries\n" + tail),
+                    1, "expected key=value");
+    expectLineError(parseError("variant.sst4 = sst2\n" + tail), 1,
+                    "shadows a preset");
+    expectLineError(
+        parseError("variant.x = sst2\nvariant.x = sst4\n" + tail), 2,
+        "defined twice");
+    expectLineError(parseError("variant.x = x\n" + tail), 1,
+                    "unknown base preset 'x'");
+    // A preset entry must name a preset or a variant, wherever the
+    // variant is defined.
+    expectLineError(parseError("workload = stream\n"
+                               "preset = sst2, sst2-l2\n"
+                               "variant.sst2-l2t = sst2\n"),
+                    2, "unknown preset 'sst2-l2'; did you mean 'sst2-l2t'");
+    EXPECT_TRUE(SweepSpec::parse("workload = stream\n"
+                                 "preset = sst2-l2t\n"
+                                 "variant.sst2-l2t = sst2\n",
+                                 "m")
+                    .ok());
+    Error e = parseError("variant.x = sst2 core.dq_entries=8\n"
+                         "preset = x\nworkload = stream\n"
+                         "core.dq_entries = 16, 32\n");
+    EXPECT_NE(e.message.find("also a sweep axis"), std::string::npos)
+        << e.message;
+}
+
+TEST(SweepSpec, RejectsOutOfRangeScales)
+{
+    for (const char *key : {"sweep.length_scale", "sweep.footprint_scale"})
+        for (const char *value : {"-1", "0", "nan", "inf", "-inf", "x"})
+            expectLineError(parseError(std::string("preset = sst2\n") + key
+                                       + " = " + value
+                                       + "\nworkload = stream\n"),
+                            2,
+                            std::string(key)
+                                + " must be a positive finite number");
+    EXPECT_TRUE(SweepSpec::parse("preset = sst2\nworkload = stream\n"
+                                 "sweep.length_scale = 1e-3\n"
+                                 "sweep.footprint_scale = 4\n",
+                                 "m")
+                    .ok());
+}
+
+namespace
+{
+
 /** Run @p manifest at a given -j and return the per-job records. */
 std::vector<std::string>
 recordsAt(const std::string &manifest, unsigned jobs)
@@ -376,6 +519,38 @@ TEST(SweepJson, DocumentParsesAndIndexesRecords)
     // Both tables render without dying.
     EXPECT_FALSE(aggregateTable(spec, sink).render().empty());
     EXPECT_FALSE(baselineTable(spec, sink).render().empty());
+}
+
+TEST(SweepRunner, VariantRecordNamesItsBasePreset)
+{
+    SweepSpec spec = SweepSpec::parse("sweep.length_scale = 0.05\n"
+                                      "sweep.verify = true\n"
+                                      "sweep.baseline = sst2\n"
+                                      "variant.sst2-l2t = sst2 "
+                                      "core.defer_on_l2_miss_only=true\n"
+                                      "preset = sst2, sst2-l2t\n"
+                                      "workload = compute_kernel, hash_join\n",
+                                      "variant")
+                         .take();
+    ResultSink sink(spec.jobCount());
+    ASSERT_EQ(runSweep(spec, {}, sink), 0);
+    auto plain = Json::parse(sink.outcomes()[0].recordJson);
+    auto variant = Json::parse(sink.outcomes()[1].recordJson);
+    ASSERT_TRUE(plain.ok() && variant.ok());
+    EXPECT_EQ(plain.value().find("base_preset"), nullptr);
+    EXPECT_EQ(variant.value()["preset"].asString(), "sst2-l2t");
+    EXPECT_EQ(variant.value()["base_preset"].asString(), "sst2");
+    EXPECT_EQ(
+        variant.value()["config"]["core.defer_on_l2_miss_only"].asString(),
+        "true");
+    EXPECT_TRUE(variant.value()["arch_ok"].asBool());
+    // One geomean row per workload category, then the overall one.
+    std::string table = baselineTable(spec, sink).render();
+    for (const char *row :
+         {"| GEOMEAN compute ", "| GEOMEAN commercial ", "| GEOMEAN  "})
+        EXPECT_NE(table.find(row), std::string::npos) << row << table;
+    EXPECT_LT(table.find("GEOMEAN compute"), table.find("GEOMEAN commercial"))
+        << "category rows follow the manifest's workload order";
 }
 
 TEST(SweepRunner, BadConfigValueFailsTheJobNotTheProcess)

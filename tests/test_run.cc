@@ -117,6 +117,31 @@ TEST(RunPipeline, BadValuesAreBadInput)
     EXPECT_EQ(e.exitCode, exit_code::badInput);
 }
 
+TEST(RunPipeline, OutOfRangeScalesAreBadInput)
+{
+    for (const char *key : {"length_scale", "footprint_scale"})
+        for (const char *value : {"-1", "0", "nan", "inf"}) {
+            Error e = rejection(request({{key, value}}));
+            EXPECT_EQ(e.exitCode, exit_code::badInput) << key << value;
+            EXPECT_TRUE(mentions(e, std::string(key)
+                                        + " must be a positive finite "
+                                          "number"))
+                << e.message;
+        }
+    // Checked before any workload is built: for asm= programs, which
+    // never read the scales, and for shared (cmp) targets.
+    Error e = rejection(request({{"asm", "/nonexistent/kernel.s"},
+                                 {"length_scale", "nan"}}));
+    EXPECT_TRUE(mentions(e, "length_scale must be a positive finite"))
+        << e.message;
+    e = rejection(request({{"workload", "spinlock_counter"},
+                           {"footprint_scale", "nan"}}),
+                  WorkloadSet::Shared);
+    EXPECT_EQ(e.exitCode, exit_code::badInput) << e.message;
+    EXPECT_TRUE(mentions(e, "footprint_scale must be a positive finite"))
+        << e.message;
+}
+
 TEST(RunPipeline, EffectiveConfigIsCompleteMachineConfigOnly)
 {
     auto r = resolveRun(request({{"preset", "ooo-large"},

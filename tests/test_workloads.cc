@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
+#include "common/result.hh"
 #include "func/executor.hh"
 #include "workloads/workloads.hh"
 
@@ -126,6 +129,48 @@ TEST(Workloads, CategoriesPartitionTheSet)
         EXPECT_EQ(makeWorkload(name).category, "commercial");
     for (const auto &name : compute)
         EXPECT_EQ(makeWorkload(name).category, "compute");
+    for (const auto &name : all)
+        EXPECT_EQ(workloadCategory(name), makeWorkload(name).category);
+    EXPECT_EQ(workloadCategory("spinlock_counter"), "");
+}
+
+TEST(Workloads, ScaleOutOfRangeIsRejected)
+{
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    for (double bad : {-1.0, 0.0, -0.0, nan, inf, -inf, 1e9, 1e30}) {
+        WorkloadParams length, footprint;
+        length.lengthScale = bad;
+        footprint.footprintScale = bad;
+        for (const auto &name : allWorkloadNames()) {
+            EXPECT_FALSE(trapFatal([&] { makeWorkload(name, length); }).ok())
+                << name << " length_scale=" << bad;
+            EXPECT_FALSE(
+                trapFatal([&] { makeWorkload(name, footprint); }).ok())
+                << name << " footprint_scale=" << bad;
+        }
+        for (const auto &name : sharedWorkloadNames()) {
+            EXPECT_FALSE(
+                trapFatal([&] { makeSharedWorkload(name, 2, length); }).ok())
+                << name << " length_scale=" << bad;
+            EXPECT_FALSE(
+                trapFatal([&] { makeSharedWorkload(name, 2, footprint); })
+                    .ok())
+                << name << " footprint_scale=" << bad;
+        }
+    }
+    // The generators' own guards: a scale whose product passes 2^28
+    // fails instead of allocating it, wrapping or looping forever.
+    WorkloadParams huge;
+    huge.lengthScale = 1e30;
+    EXPECT_FALSE(trapFatal([&] { makeHashJoin(huge); }).ok());
+    huge = {};
+    huge.footprintScale = 1e30;
+    EXPECT_FALSE(trapFatal([&] { makeHashJoin(huge); }).ok());
+    huge.footprintScale = 1024; // 2^19 entries -> 2^29
+    EXPECT_FALSE(trapFatal([&] { makeHashJoin(huge); }).ok());
+    huge.footprintScale = -1;
+    EXPECT_FALSE(trapFatal([&] { makeGraphScan(huge); }).ok());
 }
 
 TEST(Workloads, CommercialFootprintsExceedL2)

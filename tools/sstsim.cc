@@ -15,7 +15,7 @@
  *   sstsim workload=oltp_mix preset=sst2 sample=true length_scale=4
  *   sstsim workload=hash_join preset=sst4 fault.drop_fill_rate=1e-4 \
  *          fault.seed=7
- *   sstsim sweep examples/sweep_headline.cfg -j 8 --json out.json
+ *   sstsim sweep examples/figures/f2_headline.cfg -j 8 --json out.json
  *
  * Keys:
  *   workload=<name>        built-in generator (see workload=list)
