@@ -6,6 +6,10 @@
  * build intuition for when SST's deferral machinery wins.
  *
  * Usage: asm_playground [preset=sst2] [file=path.s] [dump_stats=false]
+ *                       [trace=true]
+ *
+ * trace=true prints the preset run's structured event log (the text
+ * rendering of its TraceBuffer, trace/chrome.hh) after the run.
  */
 
 #include <cstdio>
@@ -17,6 +21,7 @@
 #include "func/executor.hh"
 #include "isa/assembler.hh"
 #include "sim/machine.hh"
+#include "trace/chrome.hh"
 
 using namespace sst;
 
@@ -90,14 +95,14 @@ main(int argc, char **argv)
     bool do_trace = cfg.getBool("trace", false);
     for (const std::string &p : {std::string("inorder"), preset}) {
         Machine machine(makePreset(p), prog);
-        if (do_trace && p == preset) {
-            std::printf("--- pipeline event trace (%s) ---\n",
-                        p.c_str());
-            machine.core().setTraceSink([](const std::string &line) {
-                std::printf("  %s\n", line.c_str());
-            });
-        }
+        trace::TraceBuffer buf;
+        bool traced = do_trace && p == preset;
+        if (traced)
+            machine.attachTraceBuffer(&buf);
         RunResult r = machine.run();
+        if (traced)
+            std::printf("--- pipeline event trace (%s) ---\n%s",
+                        p.c_str(), trace::textLog(buf).c_str());
         bool ok = machine.core().archState().regsEqual(golden_state);
         std::printf("%-10s %8llu cycles  IPC %.3f  MLP %.2f  [%s]\n",
                     p.c_str(),

@@ -2,6 +2,8 @@
 ; The SST showcase: the ahead strand computes every gather address from
 ; the (L1-resident after first touch) index array and floods the MSHRs.
 ; Run: asm_playground file=examples/kernels/gather.s preset=sst2 trace=true
+; (the event log shows the trigger, then defer lines as the ahead
+; strand runs past each gather, then their replays)
     li   x5, 0x200000        ; idx[]
     li   x6, 0x400000        ; table (sparse pages)
     li   x7, 64

@@ -5,9 +5,10 @@
 ; (thrash), and the loop-exit branch is deferred 15 nodes past the
 ; front checkpoint — so its (inevitable) mispredict discards the whole
 ; region. Expect sst2 to run SLOWER than inorder here; run with
-; trace=true to watch the rollbacks. pointer_chase (the bench version)
-; avoids the aliasing and shows parity instead.
-; Run: asm_playground file=examples/kernels/list_sum.s preset=sst2
+; trace=true to watch the rollback lines (arg=0: branch mispredict) in the
+; event log. pointer_chase (the bench version) avoids the aliasing and shows
+; parity instead.
+; Run: asm_playground file=examples/kernels/list_sum.s preset=sst2 trace=true
     li   x5, 0x300000        ; head
     li   x9, 0               ; sum
 loop:

@@ -1,6 +1,7 @@
 #include "common/config.hh"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdlib>
 
 #include "common/logging.hh"
@@ -76,8 +77,9 @@ Config::tryGetInt(const std::string &key, std::int64_t def) const
         return def;
     }
     char *end = nullptr;
+    errno = 0;
     std::int64_t v = std::strtoll(it->second.c_str(), &end, 0);
-    if (end == it->second.c_str() || *end != '\0')
+    if (end == it->second.c_str() || *end != '\0' || errno == ERANGE)
         return Error{log_detail::format(
             "config key '%s': '%s' is not an integer", key.c_str(),
             it->second.c_str())};
@@ -92,9 +94,13 @@ Config::tryGetUint(const std::string &key, std::uint64_t def) const
         defaults_[key] = std::to_string(def);
         return def;
     }
+    // strtoull accepts a sign and wraps "-1" to 2^64-1; no unsigned
+    // value contains a '-', so reject it outright.
     char *end = nullptr;
+    errno = 0;
     std::uint64_t v = std::strtoull(it->second.c_str(), &end, 0);
-    if (end == it->second.c_str() || *end != '\0')
+    if (end == it->second.c_str() || *end != '\0' || errno == ERANGE
+        || it->second.find('-') != std::string::npos)
         return Error{log_detail::format(
             "config key '%s': '%s' is not an unsigned integer",
             key.c_str(), it->second.c_str())};

@@ -1,9 +1,5 @@
 #include "core/core.hh"
 
-#include <cstdarg>
-#include <cstdio>
-#include <cstring>
-
 #include "common/logging.hh"
 #include "snap/snap.hh"
 
@@ -87,38 +83,6 @@ Core::warmStart(const ArchState &state, Cycle start_cycle)
     arch_.halted = false;
     now_ = start_cycle;
     startCycle_ = start_cycle;
-}
-
-void
-Core::trace(const char *fmt, ...)
-{
-    if (!traceSink_)
-        return;
-    char buf[256];
-    int n = std::snprintf(buf, sizeof(buf), "C%llu ",
-                          static_cast<unsigned long long>(now_));
-    va_list ap;
-    va_start(ap, fmt);
-    int need = std::vsnprintf(buf + n, sizeof(buf) - n, fmt, ap);
-    va_end(ap);
-    if (need < 0) {
-        traceSink_(buf);
-        return;
-    }
-    if (static_cast<std::size_t>(need) < sizeof(buf) - n) {
-        traceSink_(buf);
-        return;
-    }
-    // The line didn't fit: format again into a heap buffer sized by the
-    // first pass. The va_list was consumed above, so re-va_start it.
-    std::string line(static_cast<std::size_t>(n) + need + 1, '\0');
-    std::memcpy(line.data(), buf, n);
-    va_start(ap, fmt);
-    std::vsnprintf(line.data() + n, static_cast<std::size_t>(need) + 1,
-                   fmt, ap);
-    va_end(ap);
-    line.resize(static_cast<std::size_t>(n) + need);
-    traceSink_(line);
 }
 
 template <class Io>

@@ -14,7 +14,6 @@
 #define SSTSIM_CORE_CORE_HH
 
 #include <algorithm>
-#include <functional>
 #include <memory>
 #include <string>
 
@@ -180,20 +179,9 @@ class Core
     Cycle startCycle() const { return startCycle_; }
 
     /**
-     * Attach a pipeline-event trace sink. When set, the core emits one
-     * line per microarchitectural event ("C123 TRIGGER pc=7 ..."),
-     * which the asm_playground example renders as a timeline. Null
-     * disables tracing (the default; tracing is not free).
-     */
-    void setTraceSink(std::function<void(const std::string &)> sink)
-    {
-        traceSink_ = std::move(sink);
-    }
-
-    /**
-     * Attach a structured event ring (non-owning; null detaches). Only
-     * effective in builds with SST_TRACE=1 — the recording call sites
-     * compile out otherwise and the buffer simply stays empty.
+     * Attach a structured event ring (non-owning; null detaches). The
+     * ring is the one trace stream: `sstsim trace` exports it as Chrome
+     * JSON and `trace=true` prints it as text (trace/chrome.hh).
      */
     void attachTraceBuffer(trace::TraceBuffer *buf) { traceBuf_ = buf; }
 
@@ -212,30 +200,21 @@ class Core
      * Snapshot complete core state: committed arch state, clocks,
      * fetch-line tracking, predictor/BTB/RAS, the whole stats tree
      * (which includes the CPI stack and this core's port stats), then
-     * the model's extra state via ioExtra(). Runtime attachments
-     * (trace sink, trace buffer pointer) are not state and are not
-     * serialized; of the Blocked record only the models' acted flag
-     * travels (the next tick rewrites the rest).
+     * the model's extra state via ioExtra(). The trace buffer pointer
+     * is a runtime attachment, not state, and is not serialized; of
+     * the Blocked record only the models' acted flag travels (the next
+     * tick rewrites the rest).
      */
     template <class Io> void io(Io &s);
 
   protected:
-    /** True when someone is listening; guard any formatting work. */
-    bool tracing() const { return static_cast<bool>(traceSink_); }
-
-    /** Emit one trace event, prefixed with the current cycle. */
-    void trace(const char *fmt, ...) __attribute__((format(printf, 2, 3)));
-
-    /** Record one structured event (no-op with SST_TRACE=0). */
+    /** Record one structured event (a null check when no ring is
+     *  attached). */
     void record(trace::TraceKind kind, trace::TraceStrand strand,
                 std::uint64_t pc, SeqNum seq = 0, std::uint32_t arg = 0)
     {
-#if SST_TRACE
         if (traceBuf_) [[unlikely]]
             recordEvent(kind, strand, pc, seq, arg);
-#else
-        (void)kind; (void)strand; (void)pc; (void)seq; (void)arg;
-#endif
     }
 
     /**
@@ -326,7 +305,6 @@ class Core
     /** fetchReady() past the current line: probe the I-cache. */
     Cycle fetchNewLine(std::uint64_t pc, Addr addr, Addr line);
 
-    std::function<void(const std::string &)> traceSink_;
     Cycle startCycle_ = 0;
 
   protected:

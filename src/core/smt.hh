@@ -93,17 +93,14 @@ class SmtCore
     void drainStoreBuffer();
     Cycle fetchReady(Context &ctx);
 
-    /** Record one structured event (no-op with SST_TRACE=0). */
+    /** Record one structured event (a null check when no ring is
+     *  attached). */
     void record(trace::TraceKind kind, std::uint64_t pc, SeqNum seq = 0,
                 std::uint32_t arg = 0)
     {
-#if SST_TRACE
         if (traceBuf_)
             traceBuf_->record(trace::TraceEvent{
                 now_, pc, seq, arg, kind, trace::TraceStrand::Main});
-#else
-        (void)kind; (void)pc; (void)seq; (void)arg;
-#endif
     }
 
     /** First noted stall per cycle wins (see Core::block). */

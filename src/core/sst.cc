@@ -218,11 +218,6 @@ SstCore::defer(DqEntry entry, bool reserve_ssq_slot)
     ++deferredInsts_;
     record(trace::TraceKind::Defer, trace::TraceStrand::Ahead, entry.pc,
            entry.seq);
-    if (tracing())
-        trace("DEFER seq=%llu pc=%llu %s",
-              static_cast<unsigned long long>(entry.seq),
-              static_cast<unsigned long long>(entry.pc),
-              opInfo(entry.inst.op).mnemonic);
     if (params_.discardSpecWork)
         return; // scout: the parked work is simply dropped
     if (reserve_ssq_slot) {
@@ -499,10 +494,6 @@ SstCore::normalIssueOne()
                 ++sleElisions_;
                 record(trace::TraceKind::LockElide,
                        trace::TraceStrand::Ahead, pc, seq, 1);
-                if (tracing())
-                    trace("ELIDE pc=%llu lock=%llu",
-                          static_cast<unsigned long long>(pc),
-                          static_cast<unsigned long long>(addr));
                 aheadPc_ = pc + 1;
                 return true;
             }
@@ -613,10 +604,6 @@ SstCore::enterSpeculation(std::uint64_t trigger_pc, Cycle trigger_ready)
     epochs_.back().triggerReady = trigger_ready;
     record(trace::TraceKind::Trigger, trace::TraceStrand::Ahead,
            trigger_pc, nextSeq_);
-    if (tracing())
-        trace("TRIGGER pc=%llu data_at=%llu",
-              static_cast<unsigned long long>(trigger_pc),
-              static_cast<unsigned long long>(trigger_ready));
     specRegs_ = arch_.regs;
     na_.fill(false);
     naWriter_.fill(0);
@@ -648,10 +635,6 @@ SstCore::takeCheckpoint(std::uint64_t trigger_pc, SeqNum start_seq)
     e.ras = ras_;
     record(trace::TraceKind::Checkpoint, trace::TraceStrand::Ahead,
            trigger_pc, start_seq, e.id);
-    if (tracing())
-        trace("CHECKPOINT id=%u pc=%llu live=%zu", e.id,
-              static_cast<unsigned long long>(trigger_pc),
-              epochs_.size());
     ++checkpointsTaken_;
     return true;
 }
@@ -853,11 +836,6 @@ SstCore::aheadIssueOne()
             ++vpOutstanding_;
             record(trace::TraceKind::Exec, trace::TraceStrand::Ahead,
                    pc, entry.seq, 2);
-            if (tracing())
-                trace("VPRED seq=%llu pc=%llu val=%llu (na-addr)",
-                      static_cast<unsigned long long>(entry.seq),
-                      static_cast<unsigned long long>(pc),
-                      static_cast<unsigned long long>(pv));
         } else {
             // An unpredicted load defer de-anchors the value chain: its
             // replay will train the table, so until then lastValue lags
@@ -966,11 +944,6 @@ SstCore::aheadIssueOne()
                 ++vpOutstanding_;
                 record(trace::TraceKind::Exec, trace::TraceStrand::Ahead,
                        pc, seq, 2);
-                if (tracing())
-                    trace("VPRED seq=%llu pc=%llu val=%llu",
-                          static_cast<unsigned long long>(seq),
-                          static_cast<unsigned long long>(pc),
-                          static_cast<unsigned long long>(pv));
             } else {
                 if (!discard)
                     vpred_.notePendingDefer(pc);
@@ -1218,14 +1191,6 @@ SstCore::replayStrand(unsigned slots)
                 if (vpOutstanding_ > 0)
                     --vpOutstanding_;
                 if (val != entry.predValue) {
-                    if (tracing())
-                        trace("VPFAIL seq=%llu pc=%llu pred=%llu "
-                              "actual=%llu",
-                              static_cast<unsigned long long>(entry.seq),
-                              static_cast<unsigned long long>(entry.pc),
-                              static_cast<unsigned long long>(
-                                  entry.predValue),
-                              static_cast<unsigned long long>(val));
                     rollback(FailKind::ValueMispredict);
                     return used;
                 }
@@ -1277,11 +1242,6 @@ SstCore::replayStrand(unsigned slots)
             predictor_->trainAt(entry.pc, taken, entry.predHistory);
             if (taken != entry.predTaken) {
                 ++mispredicts_;
-                if (tracing())
-                    trace("BRFAIL seq=%llu pc=%llu pred=%d actual=%d",
-                          static_cast<unsigned long long>(entry.seq),
-                          static_cast<unsigned long long>(entry.pc),
-                          entry.predTaken ? 1 : 0, taken ? 1 : 0);
                 rollback(FailKind::BranchMispredict);
                 return used;
             }
@@ -1314,11 +1274,6 @@ SstCore::replayStrand(unsigned slots)
 
         record(trace::TraceKind::Replay, trace::TraceStrand::Behind,
                entry.pc, entry.seq);
-        if (tracing())
-            trace("REPLAY seq=%llu pc=%llu %s",
-                  static_cast<unsigned long long>(entry.seq),
-                  static_cast<unsigned long long>(entry.pc),
-                  opInfo(entry.inst.op).mnemonic);
         ++replayedInsts_;
         epoch.dq.pop_front();
         --dqCount_;
@@ -1390,9 +1345,6 @@ SstCore::commitOldestEpoch()
     });
     record(trace::TraceKind::Commit, trace::TraceStrand::Main, front.pc,
            front.startSeq, static_cast<std::uint32_t>(insts));
-    if (tracing())
-        trace("COMMIT epoch=%u insts=%llu", front.id,
-              static_cast<unsigned long long>(insts));
     SeqNum bound = next.startSeq;
     epochs_.pop_front();
     // Drop replay results the committed epoch owned. A parked consumer
@@ -1460,10 +1412,6 @@ SstCore::commitAll()
     ++fullCommits_;
     record(trace::TraceKind::Commit, trace::TraceStrand::Main, arch_.pc,
            nextSeq_, static_cast<std::uint32_t>(insts));
-    if (tracing())
-        trace("COMMIT_ALL insts=%llu pc=%llu",
-              static_cast<unsigned long long>(insts),
-              static_cast<unsigned long long>(arch_.pc));
     flushPendingSpec(false);
 }
 
@@ -1501,12 +1449,6 @@ SstCore::rollback(FailKind kind)
 
     record(trace::TraceKind::Rollback, trace::TraceStrand::Main, front.pc,
            front.startSeq, static_cast<std::uint32_t>(kind));
-    if (tracing())
-        trace("ROLLBACK kind=%d to_pc=%llu discarded=%llu",
-              static_cast<int>(kind),
-              static_cast<unsigned long long>(front.pc),
-              static_cast<unsigned long long>(nextSeq_
-                                              - front.startSeq));
     // Every speculation cycle of this region was wasted work; when a
     // remote write caused it, the waste is coherence contention, and
     // when a predicted load value caused it, the waste belongs to the

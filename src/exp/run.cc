@@ -89,6 +89,23 @@ checkCombinations(const Config &request)
     auto sample = request.tryGetBool("sample", false);
     if (!sample.ok())
         return sample.error();
+    auto traced = request.tryGetBool("trace", false);
+    if (!traced.ok())
+        return traced.error();
+    if (traced.value()) {
+        // The ring attaches once the machine is ready: a sampled run has
+        // no one machine to attach it to, a resumed one restores before
+        // it attaches, and a snapshot would carry the ring no run can
+        // restore.
+        if (sample.value())
+            return Error{"sample=true cannot combine with trace=true",
+                         exit_code::usage};
+        for (const char *key : {"resume", "snap_every"})
+            if (given(key))
+                return Error{std::string(key)
+                                 + "= cannot combine with trace=true",
+                             exit_code::usage};
+    }
     if (!sample.value())
         return {};
     for (const char *key : {"resume", "warm_start", "snap_every"})

@@ -77,7 +77,7 @@ struct RunOptions
     /** Service workers' process-chaos monitor (fault/chaos.hh). */
     ChaosMonitor *chaos = nullptr;
     /** Called with the machine in its starting state, before the first
-     *  cycle: attach trace sinks, report where the run starts. */
+     *  cycle: attach the trace ring, report where the run starts. */
     std::function<void(Machine &, const RunOutcome &)> onReady;
 };
 

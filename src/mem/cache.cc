@@ -108,12 +108,10 @@ Cache::victimWay(unsigned set)
 Eviction
 Cache::fill(Addr addr, Cycle fillReady, bool dirty)
 {
-#if SST_TRACE
     if (traceBuf_)
         traceBuf_->record(trace::TraceEvent{
             fillReady, lineAddr(addr), 0, traceLevel_,
             trace::TraceKind::Fill, trace::TraceStrand::Mem});
-#endif
     unsigned set = setIndex(addr);
     // Refill of a present line (e.g. prefetch completing after a demand
     // fill): just update state.

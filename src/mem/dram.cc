@@ -62,12 +62,10 @@ Dram::access(Addr lineAddr, Cycle now, bool isWrite)
     bank.busyUntil = dataReady;
 
     latency_.sample(done - now);
-#if SST_TRACE
     if (traceBuf_)
         traceBuf_->record(trace::TraceEvent{
             done, lineAddr, 0, 3, trace::TraceKind::Fill,
             trace::TraceStrand::Mem});
-#endif
     return done;
 }
 

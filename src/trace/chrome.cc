@@ -1,5 +1,8 @@
 #include "trace/chrome.hh"
 
+#include <cstdio>
+#include <iterator>
+
 #include "common/stats.hh"
 
 namespace sst::trace
@@ -34,6 +37,32 @@ chromeTraceJson(const std::string &processName, const TraceBuffer &buf)
     out += "],\"displayTimeUnit\":\"ns\",\"otherData\":{\"recorded\":"
            + std::to_string(buf.recorded())
            + ",\"dropped\":" + std::to_string(buf.dropped()) + "}}";
+    return out;
+}
+
+std::string
+textLog(const TraceBuffer &buf)
+{
+    // One token per strand, so the log splits on whitespace.
+    static const char *const strand[] = {"main", "ahead", "behind", "mem"};
+    static_assert(std::size(strand)
+                  == static_cast<std::size_t>(TraceStrand::NumStrands));
+    std::string out = "trace: " + std::to_string(buf.recorded())
+                      + " events recorded, "
+                      + std::to_string(buf.dropped())
+                      + " dropped (the ring keeps the last "
+                      + std::to_string(buf.capacity()) + ")\n";
+    char line[128];
+    for (const TraceEvent &ev : buf.snapshot()) {
+        std::snprintf(line, sizeof(line),
+                      "C%llu %s %s pc=%llu seq=%llu arg=%u\n",
+                      static_cast<unsigned long long>(ev.cycle),
+                      strand[static_cast<std::size_t>(ev.strand)],
+                      traceKindName(ev.kind),
+                      static_cast<unsigned long long>(ev.pc),
+                      static_cast<unsigned long long>(ev.seq), ev.arg);
+        out += line;
+    }
     return out;
 }
 

@@ -90,6 +90,20 @@ TraceBuffer::io(Io &s)
             s.enum8(ev.strand, TraceStrand::NumStrands, "trace strand");
         },
         capacity_);
+    // A cursor past the ring would make the next record() write out of
+    // bounds, so restored cursors must describe the restored events.
+    if constexpr (Io::loading)
+        fatal_if(oldest_ >= capacity_
+                     || (oldest_ != 0 && events_.size() < capacity_)
+                     || dropped_ > recorded_
+                     || events_.size() > recorded_,
+                 "snapshot: trace buffer cursors (oldest %llu, recorded "
+                 "%llu, dropped %llu) do not fit %zu events in a ring of "
+                 "%zu (corrupt snapshot)",
+                 static_cast<unsigned long long>(oldest_),
+                 static_cast<unsigned long long>(recorded_),
+                 static_cast<unsigned long long>(dropped_),
+                 events_.size(), capacity_);
 }
 
 template void TraceBuffer::io(snap::Writer &);

@@ -3,16 +3,11 @@
  * Structured pipeline-event tracing.
  *
  * A TraceEvent is a small POD (cycle, strand, seq, pc, kind, arg)
- * recorded into a fixed-capacity per-core ring buffer. Recording is a
- * pointer check plus a struct copy — cheap enough to leave compiled in
- * by default — and the call sites in the core and memory models are
- * additionally gated by the SST_TRACE macro (CMake option SST_TRACE,
- * default ON) so a compiled-out build pays literally nothing.
- *
- * The buffer itself and the exporters (trace/chrome.hh) are always
- * compiled: with SST_TRACE=0 they simply see zero events, which keeps
- * the `sstsim trace` subcommand and its JSON contract available in
- * every build configuration.
+ * recorded into a fixed-capacity per-core ring buffer. With no ring
+ * attached, a recording call site costs one pointer check; with one
+ * attached, it adds a struct copy. The ring is the simulator's only
+ * trace stream: trace/chrome.hh renders it as Chrome trace_event JSON
+ * (`sstsim trace`) and as a text log (`trace=true`).
  */
 
 #ifndef SSTSIM_TRACE_TRACE_HH
@@ -23,11 +18,6 @@
 #include <vector>
 
 #include "common/types.hh"
-
-/** Compile-time gate for the recording call sites (1 = instrumented). */
-#ifndef SST_TRACE
-#define SST_TRACE 1
-#endif
 
 namespace sst::trace
 {

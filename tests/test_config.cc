@@ -144,6 +144,29 @@ TEST(ConfigResult, MalformedValueIsAnErrorNotAnExit)
               std::string::npos);
 }
 
+TEST(ConfigResult, NegativeOrOverflowingUnsignedIsRejected)
+{
+    Config c;
+    c.set("neg", "-1");
+    c.set("spaced", " -0");
+    c.set("big", "99999999999999999999999");
+    c.set("max", "0xffffffffffffffff");
+    for (const char *key : {"neg", "spaced", "big"}) {
+        auto r = c.tryGetUint(key, 0);
+        ASSERT_FALSE(r.ok()) << key;
+        EXPECT_NE(r.error().message.find("not an unsigned integer"),
+                  std::string::npos);
+        EXPECT_EQ(r.error().exitCode, exit_code::badInput);
+    }
+    EXPECT_EQ(c.tryGetUint("max", 0).value(), ~std::uint64_t{0});
+
+    c.set("ibig", "-99999999999999999999999");
+    auto r = c.tryGetInt("ibig", 0);
+    ASSERT_FALSE(r.ok());
+    EXPECT_NE(r.error().message.find("not an integer"), std::string::npos);
+    EXPECT_EQ(c.tryGetInt("neg", 0).value(), -1);
+}
+
 TEST(ConfigResult, TryParseAssignment)
 {
     Config c;

@@ -385,6 +385,66 @@ TEST(Snap, TraceBufferRoundTrip)
     }
 }
 
+namespace
+{
+
+/** The bytes of a 4-slot TraceBuffer holding @p events events under the
+ *  given cursors, written field by field so they can break the ring's
+ *  own invariants. */
+std::vector<std::uint8_t>
+traceBufferBytes(std::uint64_t oldest, std::uint64_t recorded,
+                 std::uint64_t dropped, std::size_t events)
+{
+    snap::Writer w;
+    w.tag("tracebuf");
+    w.expect(std::uint64_t{4}, "trace buffer capacity");
+    w.u64(oldest);
+    w.u64(recorded);
+    w.u64(dropped);
+    w.count(snap::Width::u64, events, 30);
+    for (std::size_t i = 0; i < events; ++i) {
+        w.u64(i);
+        w.u64(i);
+        w.u64(i);
+        w.u32(0);
+        w.enum8(trace::TraceKind::Exec, trace::TraceKind::NumKinds, "");
+        w.enum8(trace::TraceStrand::Main, trace::TraceStrand::NumStrands,
+                "");
+    }
+    return w.take();
+}
+
+} // namespace
+
+TEST(Snap, TraceBufferCursorsAreValidated)
+{
+    trace::TraceBuffer buf(4);
+    auto load = [&buf](std::vector<std::uint8_t> bytes) {
+        return trapFatal([&] {
+            snap::Reader r(bytes);
+            buf.io(r);
+            r.done();
+        });
+    };
+    // Consistent cursors: a wrapped ring and a partly filled one.
+    ASSERT_TRUE(load(traceBufferBytes(3, 9, 5, 4)).ok());
+    buf.record(trace::TraceEvent{9});
+    EXPECT_EQ(buf.snapshot().front().cycle, 0u);
+    EXPECT_EQ(buf.snapshot().back().cycle, 9u);
+    EXPECT_TRUE(load(traceBufferBytes(0, 3, 0, 3)).ok());
+
+    // oldest past the ring: the next record() would write out of bounds.
+    auto res = load(traceBufferBytes(4, 9, 5, 4));
+    ASSERT_FALSE(res.ok());
+    EXPECT_NE(res.error().message.find("trace buffer cursors"),
+              std::string::npos);
+    // A ring that is not full has never wrapped.
+    EXPECT_FALSE(load(traceBufferBytes(1, 3, 0, 3)).ok());
+    // More drops, or more retained events, than were ever recorded.
+    EXPECT_FALSE(load(traceBufferBytes(0, 5, 6, 4)).ok());
+    EXPECT_FALSE(load(traceBufferBytes(0, 2, 0, 3)).ok());
+}
+
 TEST(Snap, WriteFileReportsUnwritableTargets)
 {
     // A parent path component that is a regular file fails for any

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "exp/json.hh"
 #include "sim_test_util.hh"
 #include "trace/chrome.hh"
@@ -23,132 +25,6 @@ const char *kOneMiss = R"(
     .word 21
 )";
 
-std::vector<std::string>
-runTraced(const std::string &model, CoreParams params)
-{
-    CoreRun r = makeRun(model, kOneMiss, params);
-    std::vector<std::string> events;
-    r.core->setTraceSink(
-        [&events](const std::string &line) { events.push_back(line); });
-    r.run();
-    EXPECT_TRUE(r.archMatchesGolden());
-    return events;
-}
-
-bool
-anyContains(const std::vector<std::string> &events, const char *what)
-{
-    for (const auto &e : events)
-        if (e.find(what) != std::string::npos)
-            return true;
-    return false;
-}
-
-} // namespace
-
-TEST(Trace, SstEmitsLifecycleEvents)
-{
-    auto events = runTraced("sst", sstParams(2));
-    EXPECT_TRUE(anyContains(events, "TRIGGER"));
-    EXPECT_TRUE(anyContains(events, "CHECKPOINT"));
-    EXPECT_TRUE(anyContains(events, "DEFER"));
-    EXPECT_TRUE(anyContains(events, "REPLAY"));
-    EXPECT_TRUE(anyContains(events, "COMMIT_ALL"));
-}
-
-TEST(Trace, ScoutEmitsRollback)
-{
-    auto events = runTraced("sst", sstParams(1, true));
-    EXPECT_TRUE(anyContains(events, "TRIGGER"));
-    EXPECT_TRUE(anyContains(events, "ROLLBACK"));
-    EXPECT_FALSE(anyContains(events, "REPLAY"));
-}
-
-TEST(Trace, EventsOrderedByCycle)
-{
-    auto events = runTraced("sst", sstParams(2));
-    ASSERT_FALSE(events.empty());
-    std::uint64_t last = 0;
-    for (const auto &e : events) {
-        ASSERT_EQ(e[0], 'C');
-        std::uint64_t cyc = std::strtoull(e.c_str() + 1, nullptr, 10);
-        EXPECT_GE(cyc, last);
-        last = cyc;
-    }
-}
-
-TEST(Trace, DisabledByDefaultCostsNothing)
-{
-    CoreRun a = makeRun("sst", kOneMiss, sstParams(2));
-    a.run();
-    // No sink installed: nothing observable, and nothing crashes.
-    SUCCEED();
-}
-
-TEST(Trace, ReplayMatchesDeferCount)
-{
-    auto events = runTraced("sst", sstParams(2));
-    unsigned defers = 0, replays = 0;
-    for (const auto &e : events) {
-        if (e.find("DEFER") != std::string::npos)
-            ++defers;
-        if (e.find("REPLAY") != std::string::npos)
-            ++replays;
-    }
-    // Without rollbacks every deferred instruction replays exactly once.
-    EXPECT_EQ(defers, replays);
-    EXPECT_GE(defers, 2u); // the load and its dependent add
-}
-
-namespace
-{
-
-/** Exposes Core::trace so the formatting path can be tested directly. */
-class TraceProbe : public InOrderCore
-{
-  public:
-    using InOrderCore::InOrderCore;
-
-    void
-    emit(const std::string &payload)
-    {
-        trace("%s", payload.c_str());
-    }
-};
-
-} // namespace
-
-TEST(Trace, LongLinesAreNotTruncated)
-{
-    // Regression: lines over the 256-byte stack buffer used to be
-    // silently cut off at the vsnprintf limit.
-    Program program = assemble(kOneMiss, "probe");
-    MemorySystem memsys{HierarchyParams{}};
-    MemoryImage image;
-    image.loadSegments(program);
-    CorePort &port = memsys.addCore();
-    TraceProbe probe(CoreParams{}, program, image, port);
-
-    std::vector<std::string> lines;
-    probe.setTraceSink(
-        [&lines](const std::string &line) { lines.push_back(line); });
-
-    std::string longPayload(700, 'x');
-    longPayload += "END";
-    probe.emit("short");
-    probe.emit(longPayload);
-
-    ASSERT_EQ(lines.size(), 2u);
-    EXPECT_EQ(lines[0], "C0 short");
-    EXPECT_EQ(lines[1], "C0 " + longPayload);
-    EXPECT_NE(lines[1].find("END"), std::string::npos);
-}
-
-#if SST_TRACE
-
-namespace
-{
-
 std::vector<trace::TraceEvent>
 runStructured(const std::string &model, CoreParams params,
               trace::TraceBuffer &buf)
@@ -159,6 +35,103 @@ runStructured(const std::string &model, CoreParams params,
     EXPECT_TRUE(r.archMatchesGolden());
     return buf.snapshot();
 }
+
+/** runStructured() rendered by textLog(): the header line, then one
+ *  line per event. */
+std::vector<std::string>
+runTraced(const std::string &model, CoreParams params)
+{
+    trace::TraceBuffer buf;
+    runStructured(model, params, buf);
+    std::vector<std::string> lines;
+    std::istringstream log(trace::textLog(buf));
+    for (std::string line; std::getline(log, line);)
+        lines.push_back(line);
+    EXPECT_EQ(lines.size(), buf.size() + 1);
+    return lines;
+}
+
+/** Lines whose event kind (the third field) is @p kind. */
+unsigned
+countKind(const std::vector<std::string> &lines, const std::string &kind)
+{
+    unsigned n = 0;
+    for (const auto &line : lines) {
+        std::istringstream fields(line);
+        std::string cycle, strand, k;
+        fields >> cycle >> strand >> k;
+        n += cycle[0] == 'C' && k == kind;
+    }
+    return n;
+}
+
+} // namespace
+
+TEST(Trace, SstEmitsLifecycleEvents)
+{
+    auto lines = runTraced("sst", sstParams(2));
+    ASSERT_FALSE(lines.empty());
+    EXPECT_EQ(lines[0].rfind("trace: ", 0), 0u);
+    for (const char *kind :
+         {"trigger", "checkpoint", "defer", "replay", "commit"})
+        EXPECT_GT(countKind(lines, kind), 0u) << kind;
+}
+
+TEST(Trace, ScoutEmitsRollback)
+{
+    auto lines = runTraced("sst", sstParams(1, true));
+    EXPECT_GT(countKind(lines, "trigger"), 0u);
+    EXPECT_GT(countKind(lines, "rollback"), 0u);
+    EXPECT_EQ(countKind(lines, "replay"), 0u);
+}
+
+TEST(Trace, EventsOrderedByCycle)
+{
+    auto lines = runTraced("sst", sstParams(2));
+    ASSERT_GT(lines.size(), 1u);
+    std::uint64_t last = 0;
+    for (std::size_t i = 1; i < lines.size(); ++i) {
+        const std::string &line = lines[i];
+        ASSERT_EQ(line[0], 'C') << line;
+        std::uint64_t cyc = std::strtoull(line.c_str() + 1, nullptr, 10);
+        EXPECT_GE(cyc, last) << line;
+        last = cyc;
+    }
+}
+
+TEST(Trace, ReplayMatchesDeferCount)
+{
+    auto lines = runTraced("sst", sstParams(2));
+    unsigned defers = countKind(lines, "defer");
+    // Without rollbacks every deferred instruction replays exactly once.
+    EXPECT_EQ(countKind(lines, "rollback"), 0u);
+    EXPECT_EQ(defers, countKind(lines, "replay"));
+    EXPECT_GE(defers, 2u); // the load and its dependent add
+}
+
+TEST(Trace, InOrderLogsFetches)
+{
+    // The ring covers every model, not only SST's lifecycle.
+    auto lines = runTraced("inorder", CoreParams{});
+    EXPECT_GT(countKind(lines, "fetch"), 0u);
+}
+
+TEST(Trace, TextLogReportsDroppedEvents)
+{
+    trace::TraceBuffer buf(2);
+    for (std::uint64_t i = 0; i < 5; ++i)
+        buf.record(trace::TraceEvent{10 + i, 7, i, 3,
+                                     trace::TraceKind::Defer,
+                                     trace::TraceStrand::Ahead});
+    EXPECT_EQ(trace::textLog(buf),
+              "trace: 5 events recorded, 3 dropped (the ring keeps the "
+              "last 2)\n"
+              "C13 ahead defer pc=7 seq=3 arg=3\n"
+              "C14 ahead defer pc=7 seq=4 arg=3\n");
+}
+
+namespace
+{
 
 bool
 hasKind(const std::vector<trace::TraceEvent> &events,
@@ -267,5 +240,3 @@ TEST(ChromeTrace, ExportIsValidJsonWithStrandLanes)
     EXPECT_TRUE(aheadLane);
     EXPECT_TRUE(behindLane);
 }
-
-#endif // SST_TRACE

@@ -34,7 +34,8 @@
  *                          reused by every later matching run
  *   warm_start=<n>         warm-start a full detailed run from the
  *                          library member nearest instruction n
- *   trace=true             pipeline event trace to stderr
+ *   trace=true             text log of the run's last 64Ki trace
+ *                          events (trace/chrome.hh) to stderr
  *   max_cycles=<n>         simulation budget
  *   snap_every=<n> [snap_out=<file>]  periodic machine snapshots
  *   resume=<file>          restore a snapshot before running
@@ -121,6 +122,7 @@
 #include <fstream>
 #include <functional>
 #include <map>
+#include <optional>
 
 #include "common/config.hh"
 #include "common/logging.hh"
@@ -734,13 +736,6 @@ traceMain(int argc, char **argv)
                               exit_code::archMismatch});
     }
 
-#if !SST_TRACE
-    std::fprintf(stderr,
-                 "sstsim trace: note: built with SST_TRACE=OFF — event "
-                 "recording is compiled out (the trace has no events; "
-                 "CPI attribution is still exact)\n");
-#endif
-
     std::printf("trace: %s/%s %llu cycles, %llu events (%llu dropped) "
                 "-> %s\n",
                 mc.presetName.c_str(), program.name().c_str(),
@@ -980,12 +975,12 @@ main(int argc, char **argv)
     const Program &program = target.program();
 
     exp::RunOptions options = target.options;
-    bool traceOn = cfg.getBool("trace", false);
+    std::optional<trace::TraceBuffer> traceBuf;
+    if (cfg.getBool("trace", false))
+        traceBuf.emplace();
     options.onReady = [&](Machine &machine, const exp::RunOutcome &run) {
-        if (traceOn)
-            machine.core().setTraceSink([](const std::string &line) {
-                std::fprintf(stderr, "%s\n", line.c_str());
-            });
+        if (traceBuf)
+            machine.attachTraceBuffer(&*traceBuf);
         if (!options.resume.empty())
             std::fprintf(stderr,
                          "sstsim: resumed from '%s' at cycle %llu\n",
@@ -1003,6 +998,8 @@ main(int argc, char **argv)
     auto ran = exp::executeRun(target, options);
     if (!ran.ok())
         return fail(ran.error());
+    if (traceBuf)
+        std::fputs(trace::textLog(*traceBuf).c_str(), stderr);
     const exp::RunOutcome &run = ran.value();
     if (options.sample)
         return printSampled(target, options.fromLibrary, run.sample,
