@@ -16,13 +16,15 @@
  * (idle slots absorb a second thread), SST wins single-thread latency;
  * on compute-bound code CMT's aggregate advantage shrinks to the
  * pipeline-sharing limit.
+ *
+ * Part 2, the full rock16 chip on the shared-memory workloads, is the
+ * manifest examples/figures/f14_rock16.cfg.
  */
 
 #include <cstdio>
 
 #include "bench_util.hh"
 #include "core/smt.hh"
-#include "sim/cmp.hh"
 
 using namespace sst;
 using namespace sst::bench;
@@ -109,31 +111,5 @@ main()
              "sst_latency_win"},
             csv);
 
-    // Part 2: the full ROCK chip. Sixteen SST cores over one coherent
-    // shared 2 MiB L2 (the rock16 preset, lock elision on) running the
-    // shared-memory workloads — chip-level throughput where the
-    // threads genuinely communicate instead of being salted apart.
-    Table chip("rock16 full chip: 16 coherent SST cores");
-    chip.setHeader({"shared workload", "cycles", "aggregate IPC"});
-    std::vector<std::vector<std::string>> chip_csv;
-    for (const auto &wname : sharedWorkloadNames()) {
-        WorkloadParams wp = benchWorkloadParams();
-        wp.lengthScale *= 0.2; // 16 contending threads; keep each short
-        std::vector<Workload> wls = makeSharedWorkload(wname, 16, wp);
-        std::vector<const Program *> progs;
-        for (const Workload &w : wls)
-            progs.push_back(&w.program);
-        Cmp cmp(makePreset("rock16"), progs);
-        CmpResult r = cmp.run();
-        fatal_if(!r.finished, "rock16 %s did not finish",
-                 wname.c_str());
-        chip.addRow({wname, std::to_string(r.cycles),
-                     Table::num(r.aggregateIpc, 3)});
-        chip_csv.push_back({wname, std::to_string(r.cycles),
-                            Table::num(r.aggregateIpc, 4)});
-    }
-    chip.print();
-    emitCsv("f14_rock16", {"workload", "cycles", "aggregate_ipc"},
-            chip_csv);
     return 0;
 }

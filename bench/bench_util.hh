@@ -6,9 +6,7 @@
  *
  * Every bench prints (a) a human-readable table and (b) a CSV block
  * bracketed by BEGIN_CSV/END_CSV for plotting. Scale all run lengths
- * with the SST_BENCH_SCALE environment variable (default 1.0), and opt
- * into parallel execution of independent simulations with
- * SST_BENCH_JOBS (default 1 = serial; 0 = one thread per core).
+ * with the SST_BENCH_SCALE environment variable (default 1.0).
  */
 
 #ifndef SSTSIM_BENCH_BENCH_UTIL_HH
@@ -25,7 +23,6 @@
 #include "common/stats.hh"
 #include "common/table.hh"
 #include "exp/run.hh"
-#include "exp/threadpool.hh"
 #include "workloads/workloads.hh"
 
 namespace sst::bench
@@ -70,42 +67,6 @@ class WorkloadSet
     WorkloadParams params_;
     std::map<std::string, Workload> cache_;
 };
-
-/** Worker threads for parallel bench sections, from SST_BENCH_JOBS
- *  (default 1 = serial; 0 = one per hardware thread). */
-inline unsigned
-benchJobs()
-{
-    if (const char *env = std::getenv("SST_BENCH_JOBS")) {
-        long n = std::atol(env);
-        if (n <= 0)
-            return exp::ThreadPool::defaultWorkers();
-        return static_cast<unsigned>(n);
-    }
-    return 1;
-}
-
-/**
- * Run fn(i) for every i in [0, n) — serially by default, or on a
- * work-stealing pool when SST_BENCH_JOBS asks for more than one
- * worker. Each index must be independent: write results into
- * pre-sized slots keyed by i, print only after this returns, and keep
- * any shared WorkloadSet read-only (pre-populate it first). Results
- * are identical either way; only wall-clock changes.
- */
-template <typename Fn>
-inline void
-forEachIndex(std::size_t n, Fn &&fn)
-{
-    unsigned jobs = benchJobs();
-    if (jobs <= 1) {
-        for (std::size_t i = 0; i < n; ++i)
-            fn(i);
-        return;
-    }
-    exp::ThreadPool pool(jobs);
-    exp::parallelFor(pool, n, fn);
-}
 
 /** Geometric mean of a non-empty vector. */
 inline double

@@ -3,18 +3,21 @@
 
     python3 scripts/cli_vs_sweep.py [sstsim-binary]
 
-Runs two detailed jobs (a preset and a named variant of it) and one
-library-sampled job through `sstsim sweep`, then replays each record
-through `sstsim key=value json=true` with the record's preset (a
-variant's base_preset), workload, workload_seed, length_scale and
-config (plus the manifest's sampling schedule for the sampled job), and
-requires the same cycles, instructions and IPC. Both front ends resolve
-and execute through one pipeline (src/exp/run.hh), so any difference
-is a drift bug. Exits 0 when every job agrees, 1 otherwise.
+Runs two detailed jobs (a preset and a named variant of it), one
+library-sampled job and one CMP job (a shared-memory workload) through
+`sstsim sweep`, then replays each record through `sstsim key=value
+json=true` (`sstsim cmp <preset> <workload> --json` for the CMP job)
+with the record's preset (a variant's base_preset), workload,
+workload_seed, length_scale and config (plus the manifest's sampling
+schedule for the sampled job), and requires the same cycles,
+instructions and IPC. Both front ends resolve and execute through one
+pipeline (src/exp/run.hh), so any difference is a drift bug. Exits 0
+when every job agrees, 1 otherwise.
 
 The detailed replay prints its stat tree with six significant digits
 (StatGroup::dumpJson), so the detailed jobs are kept under a million
-cycles and their IPC is compared at that precision. The sampled replay
+cycles and their IPC is compared at that precision; `sstsim cmp
+--json` prints the aggregate IPC with six decimals. The sampled replay
 prints the full-precision IPC plus detailed_insts and skipped_insts,
 which sum to the library's instruction count; the estimated cycles are
 that count over the IPC, exactly as the sweep computes them.
@@ -51,6 +54,16 @@ workload = oltp_mix
 SAMPLED_KEYS = ["sample=true", "detail=5000", "regions=4",
                 "region_insts=20000"]
 
+CMP = """\
+sweep.name = cli-vs-sweep-cmp
+sweep.seed = 3
+sweep.length_scale = 0.05
+sweep.verify = true
+preset = rock16
+workload = producer_consumer
+cmp.cores = 4
+"""
+
 
 def sweep_records(sstsim, scratch, name, manifest):
     """Run a manifest through `sstsim sweep`; its header and records."""
@@ -67,14 +80,18 @@ def sweep_records(sstsim, scratch, name, manifest):
     return doc["sweep"], doc["records"]
 
 
-def replay(sstsim, sweep, record, extra):
-    """The record as a plain `sstsim key=value json=true` run."""
-    argv = [sstsim, "preset=" + record.get("base_preset", record["preset"]),
-            "workload=" + record["workload"],
-            "seed=%d" % record["workload_seed"],
-            "length_scale=%r" % sweep["length_scale"]]
+def replay(sstsim, sweep, record, extra, cmp=False):
+    """The record as a plain `sstsim key=value json=true` run, or as
+    `sstsim cmp <preset> <workload> --json` for a CMP job."""
+    preset = record.get("base_preset", record["preset"])
+    argv = [sstsim] + (["cmp", preset, record["workload"], "--json"]
+                       if cmp else ["preset=" + preset,
+                                    "workload=" + record["workload"],
+                                    "json=true"])
+    argv += ["seed=%d" % record["workload_seed"],
+             "length_scale=%r" % sweep["length_scale"]]
     argv += ["%s=%s" % kv for kv in record["config"].items()]
-    argv += extra + ["json=true"]
+    argv += extra
     run = subprocess.run(argv, check=True, capture_output=True, text=True)
     return json.loads(run.stdout)
 
@@ -123,6 +140,15 @@ def main():
         ok = check("sampled",
                    (record["cycles"], record["insts"], record["ipc"]),
                    (cycles, insts, est["ipc"])) and ok
+
+        sweep, (record,) = sweep_records(sstsim, scratch, "cmp", CMP)
+        assert record["cores"] == 4 and record["arch_ok"], record["log"]
+        chip = replay(sstsim, sweep, record, [], cmp=True)
+        ok = check("cmp",
+                   (record["cycles"], record["insts"],
+                    float("%.6f" % record["ipc"])),
+                   (chip["cycles"], chip["insts"],
+                    chip["aggregate_ipc"])) and ok
         return 0 if ok else 1
     finally:
         shutil.rmtree(scratch, ignore_errors=True)

@@ -12,10 +12,11 @@ render its JSON:
 The manifest's sweep.name picks the figure's entry in FIGURES below,
 which says what each table's rows and columns are and which number
 each cell shows: the speedup over the sweep's baseline at the same
-sweep point, ipc, demand_mlp, or a core stat per 1k or per 100k
-retired instructions. The script prints the figure's tables and its
-BEGIN_CSV/END_CSV block, formatted exactly as the figure benches that
-these manifests replaced printed them. With --csv-dir it also writes
+sweep point, ipc, demand_mlp, a core stat per 1k or per 100k retired
+instructions, or, for a CMP job, a stat summed over its cores. The
+script prints the figure's tables and its BEGIN_CSV/END_CSV block,
+formatted exactly as the figure benches that these manifests replaced
+printed them. With --csv-dir it also writes
 <tag>.csv per figure. Exits 1 when a job did not finish or failed its
 golden check, 2 on an unknown figure.
 """
@@ -141,6 +142,30 @@ def vs_ooo_large(s, w, p, x):
     return s.rec(w, "ooo-large")["cycles"] / s.rec(w, p)["cycles"]
 
 
+def chip_stats(s, w, p, x):
+    """(name, value) over a CMP record's per-core stat trees."""
+    return [kv for tree in s.rec(w, p, x)["core_stats"]
+            for kv in flatten(tree)]
+
+
+def chip(suffix):
+    """A stat summed over every core of a CMP record."""
+    return lambda s, w, p, x: sum(v for k, v in chip_stats(s, w, p, x)
+                                  if k.endswith(suffix))
+
+
+def coh_pct(s, w, p, x):
+    """Share of all core cycles the CPI stack charges to coherence."""
+    stack = [(k, v) for k, v in chip_stats(s, w, p, x)
+             if k.startswith(".cpi_stack.")]
+    coherence = sum(v for k, v in stack if k == ".cpi_stack.coherence")
+    return 100.0 * coherence / max(sum(v for _, v in stack), 1.0)
+
+
+def sle_speedup(s, w, p, x):
+    return s.rec(w, "sst2", x)["cycles"] / s.rec(w, SLE, x)["cycles"]
+
+
 def geomean(values):
     if not values:
         return 0.0
@@ -205,6 +230,11 @@ def f2_headline(s):
                         / geo[("sst4", "compute")] - 1.0)))
 
 
+def f17_headline(s):
+    g = geomean([sle_speedup(s, w, None, "4") for w in s.workloads])
+    return "HEADLINE: geomean SLE speedup = %.3fx\n" % g
+
+
 def f19_headline(s):
     g = geomean([speedup(s, w, "sst4-vp-stride", None)
                  for w in s.workloads])
@@ -218,6 +248,7 @@ TLB = [cell("no-tlb", p="sst4", x="0")] + points("sst4", "dtlb=%s", "256",
 PREDICTORS = points("sst4", "%s", "static", "bimodal", "gshare",
                     "tournament")
 VP = "sst4-vp-stride"
+SLE = "sst2-sle"
 
 FIGURES = {
     "f2_headline": {
@@ -346,6 +377,18 @@ FIGURES = {
                        "strand just computes the addresses."}],
         "csv": {"tag": "f13_prefetch", "digits": 4},
     },
+    "f14_rock16": {
+        "id": "F14", "what": "the full ROCK chip: rock16 on the "
+                             "shared-memory workloads",
+        "tables": [{
+            "title": "rock16 full chip: 16 coherent SST cores",
+            "corner": ["shared workload"], "key": {"p": "rock16"},
+            "cols": [cell("cycles", field("cycles"), 0),
+                     cell("aggregate IPC", field("ipc"), 3)]}],
+        "csv": {"tag": "f14_rock16", "corner": ["workload"],
+                "cols": [cell("cycles", field("cycles"), 0),
+                         cell("aggregate_ipc", field("ipc"), 4)]},
+    },
     "f15_tlb": {
         "id": "F15", "what": "sensitivity to data-TLB reach",
         "tables": [{
@@ -356,6 +399,30 @@ FIGURES = {
             "digits": 1}],
         "csv": {"tag": "f15_tlb", "digits": 4,
                 "cols": points("sst4", "tlb%s", "0", "256", "64", "16")},
+    },
+    "f17_sharing": {
+        "id": "F17", "what": "speculative lock elision vs conventional "
+                             "locking",
+        "tables": [{
+            "title": "coherent 4-core CMP (sst2), locking vs elision",
+            "key": {"x": "4"}, "digits": 0,
+            "cols": [cell("base cycles", field("cycles"), p="sst2"),
+                     cell("sle cycles", field("cycles"), p=SLE),
+                     cell("speedup", sle_speedup, suffixed(3, "x")),
+                     cell("elisions", chip(".sle_elisions"), p=SLE),
+                     cell("commits", chip(".sle_commits"), p=SLE),
+                     cell("aborts", chip(".sle_aborts"), p=SLE),
+                     cell("base coh%", coh_pct, 1, p="sst2"),
+                     cell("sle coh%", coh_pct, 1, p=SLE)],
+            "caption": "coh% = share of all core cycles the CPI stack "
+                       "charges to coherence: stalls on coherence "
+                       "traffic and elided sections a remote write "
+                       "aborted."}],
+        "csv": {"tag": "f17_sharing",
+                "cols": [cell("base_cycles", field("cycles"), p="sst2"),
+                         cell("sle_cycles", field("cycles"), p=SLE),
+                         cell("speedup", sle_speedup, 4)]},
+        "after": f17_headline,
     },
     "f19_valuepred": {
         "id": "F19", "what": "load-value prediction in the SST ahead strand",

@@ -1309,6 +1309,13 @@ SstCore::tryCommit()
         // so the whole DQ is the front DQ checked above).
         if (!sleReleaseSeen_)
             return;
+        // A section that stored must be ordered against the other
+        // cores at its commit (MemoryImage::commitElided); one that
+        // only read needs nothing.
+        if (!ssq_.empty() && !memory_.commitElided(sleLockAddr_)) {
+            rollback(FailKind::CohConflict);
+            return;
+        }
         commitAll();
         sleActive_ = false;
         sleLockAddr_ = invalidAddr;

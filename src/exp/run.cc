@@ -8,6 +8,7 @@
 
 #include "branch/predictor.hh"
 #include "branch/valuepred.hh"
+#include "common/logging.hh"
 #include "fault/chaos.hh"
 #include "isa/assembler.hh"
 #include "sim/presets.hh"
@@ -75,13 +76,23 @@ validateKeys(const Config &request)
 }
 
 /** Driver keys that pick the starting state or a second output cannot
- *  ride along with modes that ignore them. */
+ *  ride along with modes that ignore them. @p cmpWorkload is the
+ *  shared workload of a CMP run ("" for a single-core run). */
 Result<void>
-checkCombinations(const Config &request)
+checkCombinations(const Config &request, const std::string &cmpWorkload)
 {
     auto given = [&](const char *key) {
         return !request.getString(key, "").empty();
     };
+    // A chip has no one core machine to trace, sample, start from,
+    // snapshot or print the stat tree of.
+    if (!cmpWorkload.empty())
+        for (const char *key : {"trace", "sample", "resume", "warm_start",
+                                "snap_every", "stats"})
+            if (given(key))
+                return Error{std::string(key) + "= cannot combine with a "
+                                 "CMP run ('" + cmpWorkload + "')",
+                             exit_code::usage};
     if (given("resume") && given("warm_start"))
         return Error{"warm_start= cannot combine with resume= (both pick "
                      "the starting state)",
@@ -148,14 +159,11 @@ loadWorkload(const Config &request)
     }
     std::string name = request.getString("workload", "oltp_mix");
     if (!contains(allWorkloadNames(), name)) {
-        if (contains(sharedWorkloadNames(), name))
-            return Error{"'" + name
-                             + "' is a shared-memory workload; run it "
-                               "with 'sstsim cmp <preset> "
-                             + name + "'",
-                         exit_code::usage};
+        std::vector<std::string> known = allWorkloadNames();
+        for (const auto &shared : sharedWorkloadNames())
+            known.push_back(shared);
         return Error{suggest("unknown workload '" + name + "'", name,
-                             allWorkloadNames())
+                             known)
                          + " (workload=list shows all)",
                      exit_code::usage};
     }
@@ -201,11 +209,15 @@ driverKeys()
 }
 
 Result<RunTarget>
-resolveRun(const Config &request, WorkloadSet set)
+resolveRun(const Config &request)
 {
     if (auto valid = validateKeys(request); !valid.ok())
         return valid.error();
-    if (auto combined = checkCombinations(request); !combined.ok())
+    const std::string workload = request.getString("workload", "oltp_mix");
+    const bool cmp = request.getString("asm", "").empty()
+                     && contains(sharedWorkloadNames(), workload);
+    if (auto combined = checkCombinations(request, cmp ? workload : "");
+        !combined.ok())
         return combined.error();
     for (const char *key : {"length_scale", "footprint_scale"}) {
         auto scale = request.tryGetDouble(key, 1.0);
@@ -217,18 +229,17 @@ resolveRun(const Config &request, WorkloadSet set)
     }
 
     RunTarget target;
-    std::string workload = request.getString("workload", "oltp_mix");
-    if (set == WorkloadSet::Single) {
+    auto params = trapFatal([&] { return workloadParams(request); });
+    if (!params.ok())
+        return params.error();
+    target.params = params.take();
+    if (!cmp) {
         auto loaded = trapFatal([&] { return loadWorkload(request); });
         if (!loaded.ok())
             return loaded.error();
         if (!loaded.value().ok())
             return loaded.value().error();
         target.workloads.push_back(loaded.value().take());
-    } else if (!contains(sharedWorkloadNames(), workload)) {
-        return Error{suggest("unknown shared workload '" + workload + "'",
-                             workload, sharedWorkloadNames()),
-                     exit_code::usage};
     }
 
     std::string preset = request.getString("preset", "sst2");
@@ -254,17 +265,27 @@ resolveRun(const Config &request, WorkloadSet set)
         return options.error();
     target.options = options.take();
 
-    if (set == WorkloadSet::Shared) {
+    if (cmp) {
         // Shared workloads only make sense over shared memory:
         // coherence defaults ON whatever the preset says (an explicit
         // coh.enabled=false still wins, and salts the cores apart).
-        if (!request.has("coh.enabled"))
+        // The effective config records the chip that runs.
+        if (!request.has("coh.enabled")) {
             target.machine.mem.coh.enabled = true;
-        unsigned cores = target.machine.cmpCores ? target.machine.cmpCores : 2;
+            target.effective.set("coh.enabled", "true");
+        }
+        if (target.machine.cmpCores == 0) {
+            if (request.has("cmp.cores"))
+                return Error{"cmp.cores must be between 1 and "
+                             + std::to_string(kMaxCmpCores) + " (got 0)"};
+            target.machine.cmpCores = 2;
+            target.effective.set("cmp.cores", "2");
+        }
         auto built = trapFatal(
             [&] {
-                return makeSharedWorkload(workload, cores,
-                                          workloadParams(request));
+                return makeSharedWorkload(workload,
+                                          target.machine.cmpCores,
+                                          target.params);
             },
             exit_code::usage);
         if (!built.ok())
@@ -293,9 +314,70 @@ targetLibrary(const RunTarget &target, ProfileParams &params,
                                 cacheRoot, target.configHash());
 }
 
+namespace
+{
+
+/** executeRun's CMP mode: the chip runs one program per core, for at
+ *  most options.maxCycles (the other single-core options do not
+ *  apply; resolveRun rejects the keys that ask for them). */
+Result<RunOutcome>
+executeCmp(const RunTarget &target, const RunOptions &options)
+{
+    // A salted core runs its program alone, so its golden run is the
+    // oracle; a coherent chip's outcome depends on the interleaving,
+    // its workload's invariants do not.
+    const bool coherent = target.machine.mem.coh.enabled;
+    std::vector<GoldenRun> golden;
+    std::vector<const Program *> programs;
+    for (const Workload &w : target.workloads) {
+        programs.push_back(&w.program);
+        if (options.verifyGolden && !coherent) {
+            auto run = goldenRun(w.program);
+            if (!run.ok())
+                return run.error();
+            golden.push_back(run.take());
+        }
+    }
+    RunOutcome out;
+    out.cmp = std::make_unique<Cmp>(target.machine, programs);
+    Cmp &chip = *out.cmp;
+    const CmpResult &r = out.cmpResult = chip.run(options.maxCycles);
+    out.result = RunResult{
+        .preset = r.preset,
+        .workload = target.workloads.front().name,
+        .cycles = r.cycles,
+        .insts = r.totalInsts,
+        .ipc = r.aggregateIpc,
+        .finished = r.finished,
+        .degrade = r.degrade,
+        .stats = {{"watchdog.recoveries",
+                   static_cast<double>(r.watchdogRecoveries)}}};
+    out.archVerified = options.verifyGolden && r.finished;
+    if (!out.archVerified)
+        return out;
+    Result<void> held = coherent ? checkSharedWorkload(
+                                       out.result.workload, r.cores,
+                                       target.params, chip.image(0))
+                                 : Result<void>();
+    for (unsigned i = 0; i < golden.size() && held.ok(); ++i)
+        if (!chip.core(i).archState().regsEqual(golden[i].state)
+            || !chip.image(i).contentEquals(golden[i].image)
+            || chip.core(i).instsRetired() != golden[i].insts)
+            held = Error{"core " + std::to_string(i)
+                         + " diverged from its program's golden run"};
+    out.archOk = held.ok();
+    if (!out.archOk)
+        warn("%s", held.error().message.c_str());
+    return out;
+}
+
+} // namespace
+
 Result<RunOutcome>
 executeRun(const RunTarget &target, const RunOptions &options)
 {
+    if (target.isCmp())
+        return executeCmp(target, options);
     const MachineConfig &mc = target.machine;
     const Program &program = target.program();
     RunOutcome out;

@@ -21,6 +21,7 @@
 #include "common/config.hh"
 #include "common/result.hh"
 #include "func/executor.hh"
+#include "sim/cmp.hh"
 #include "sim/machine.hh"
 #include "sim/profile.hh"
 #include "sim/sampling.hh"
@@ -36,14 +37,6 @@ namespace sst::exp
 
 /** Keys a run request consumes itself (not machine configuration). */
 const std::vector<std::string> &driverKeys();
-
-/** Which workload list `workload=` names: allWorkloadNames() (or
- *  asm=), or sharedWorkloadNames() with one program per CMP core. */
-enum class WorkloadSet
-{
-    Single,
-    Shared,
-};
 
 struct RunOutcome;
 
@@ -77,7 +70,8 @@ struct RunOptions
     /** Service workers' process-chaos monitor (fault/chaos.hh). */
     ChaosMonitor *chaos = nullptr;
     /** Called with the machine in its starting state, before the first
-     *  cycle: attach the trace ring, report where the run starts. */
+     *  cycle: attach the trace ring, report where the run starts.
+     *  Single-core runs only. */
     std::function<void(Machine &, const RunOutcome &)> onReady;
 };
 
@@ -85,8 +79,10 @@ struct RunOptions
 struct RunTarget
 {
     MachineConfig machine;
-    /** One workload, or one per core for WorkloadSet::Shared. */
+    /** One workload, or one per chip core for a CMP run. */
     std::vector<Workload> workloads;
+    /** The generator knobs the workloads were built with. */
+    WorkloadParams params;
     /** The request's machine keys plus every default applyOverrides
      *  read: complete, as sweep records print it and memConfigHash
      *  keys profile libraries by it. */
@@ -96,6 +92,8 @@ struct RunTarget
     RunOptions options;
 
     const Program &program() const { return workloads.front().program; }
+    /** A CMP run: `workload=` named a shared-memory workload. */
+    bool isCmp() const { return workloads.front().category == "shared"; }
     std::uint64_t configHash() const
     {
         return memConfigHash(machine, effective);
@@ -106,12 +104,14 @@ struct RunTarget
  * Resolve @p request: reject unknown keys and enum values (nearest-name
  * suggestion, exit_code::usage) and driver keys that cannot combine,
  * load `workload=` (default oltp_mix) or `asm=`, build `preset=`
- * (default sst2) and apply the machine keys. Shared requests default
- * coherence on unless coh.enabled is given, with cmp.cores (else 2)
- * programs.
+ * (default sst2) and apply the machine keys. A shared-memory workload
+ * (sharedWorkloadNames()) makes a CMP run: one program per core,
+ * cmp.cores of them (a single-core preset's default is 2), coherence
+ * on unless coh.enabled is given; driver keys that act on one core's
+ * machine (trace, sample, resume, warm_start, snap_every, stats) are
+ * rejected.
  */
-Result<RunTarget> resolveRun(const Config &request,
-                             WorkloadSet set = WorkloadSet::Single);
+Result<RunTarget> resolveRun(const Config &request);
 
 /** The target's profile library via ensureProfileLibrary; a zero
  *  params.regionInsts is first resolved in place from @p countedInsts
@@ -133,6 +133,10 @@ struct RunOutcome
     SampledResult sample; ///< valid in sampled mode
     /** Detailed mode: the machine after the run (stats, CPI stack). */
     std::unique_ptr<Machine> machine;
+    /** CMP mode: the chip after the run (it points into the target's
+     *  programs) and its aggregate result. */
+    std::unique_ptr<Cmp> cmp;
+    CmpResult cmpResult;
     /** resumeOptional: why the checkpoint was not used. */
     std::string resumeError;
     /** Instructions a warm start skipped (the golden offset). */
@@ -142,7 +146,9 @@ struct RunOutcome
 /** Run @p target as @p options say. What stops a run before it starts
  *  (no halting golden run, unreadable resume=, library failure) is an
  *  Error; fatal() inside the simulation is the caller's (runJob traps
- *  it). */
+ *  it). A CMP run is verified when options.verifyGolden: each core of
+ *  a salted chip against its own program's golden run, a coherent
+ *  chip's shared image against checkSharedWorkload. */
 Result<RunOutcome> executeRun(const RunTarget &target,
                               const RunOptions &options);
 

@@ -24,7 +24,7 @@ namespace
 
 /**
  * Per-job record schema (schema_version 1; all keys present except
- * base_preset):
+ * base_preset and the CMP keys):
  *   index, preset, workload, repeat       job identity
  *   base_preset                           a variant job's base preset
  *                                         (present for variants only)
@@ -39,6 +39,11 @@ namespace
  *   warm_accesses, warm_hits              profiling-pass warming health
  *   arch_ok                               golden cross-check (or null)
  *   stats                                 full structured core stat tree
+ *                                         ({} for a CMP job)
+ *   cores, per_core_ipc, core_stats       CMP jobs only: the chip's core
+ *                                         count, each core's IPC and
+ *                                         stat tree (cycles, insts and
+ *                                         ipc are the chip's aggregate)
  *   fault                                 fault-injector stat tree
  *   watchdog                              recoveries/interventions
  *   log                                   captured warn()/inform() text
@@ -46,7 +51,8 @@ namespace
 std::string
 buildRecord(const JobOutcome &out, const Config &effectiveConfig,
             const std::string &coreStatsJson,
-            const std::string &faultStatsJson)
+            const std::string &faultStatsJson,
+            const std::string &cmpJson = "")
 {
     const JobSpec &spec = out.spec;
     const RunResult &r = out.result;
@@ -96,6 +102,7 @@ buildRecord(const JobOutcome &out, const Config &effectiveConfig,
     j += ",\"arch_ok\":";
     j += out.archVerified ? (out.archOk ? "true" : "false") : "null";
     j += ",\"stats\":" + (coreStatsJson.empty() ? "{}" : coreStatsJson);
+    j += cmpJson;
     j += ",\"fault\":" + (faultStatsJson.empty() ? "{}" : faultStatsJson);
     j += ",\"watchdog\":{\"recoveries\":"
          + jsonNumber(runStat("watchdog.recoveries"))
@@ -324,6 +331,20 @@ jobRequest(const SweepSpec &sweep, const JobSpec &job)
     return request;
 }
 
+/** A CMP record's keys after "stats" (see the schema above). */
+std::string
+cmpRecordJson(Cmp &chip, const CmpResult &r)
+{
+    std::string j = ",\"cores\":" + std::to_string(r.cores);
+    j += ",\"per_core_ipc\":[";
+    for (std::size_t i = 0; i < r.perCoreIpc.size(); ++i)
+        j += (i ? "," : "") + jsonNumber(r.perCoreIpc[i]);
+    j += "],\"core_stats\":[";
+    for (unsigned i = 0; i < r.cores; ++i)
+        j += (i ? "," : "") + chip.core(i).stats().toJson();
+    return j + "]";
+}
+
 /** The manifest's run mode for one job of @p target. */
 RunOptions
 jobRunOptions(const SweepSpec &sweep, const JobSpec &job,
@@ -331,6 +352,12 @@ jobRunOptions(const SweepSpec &sweep, const JobSpec &job,
 {
     RunOptions ro;
     ro.maxCycles = sweep.maxCycles;
+    if (target.isCmp()) {
+        // A chip takes no mid-job checkpoints: on resume it restarts
+        // from cycle 0 (a finished record is still reused).
+        ro.verifyGolden = sweep.verifyGolden;
+        return ro;
+    }
     if (sweep.sample) {
         // Sampled job: serve every detailed window from a
         // checkpoint-warmed profile library instead of simulating the
@@ -379,6 +406,7 @@ runJob(const SweepSpec &sweep, const JobSpec &job,
 
     std::string coreStatsJson;
     std::string faultStatsJson;
+    std::string cmpJson;
     // The resolved target's effective config is complete (every
     // defaulted machine key); job.overrides stands in if it never
     // resolves.
@@ -403,6 +431,10 @@ runJob(const SweepSpec &sweep, const JobSpec &job,
             faultStatsJson =
                 r.machine->memsys().faults().stats().toJson();
         }
+        if (r.cmp) {
+            cmpJson = cmpRecordJson(*r.cmp, r.cmpResult);
+            faultStatsJson = r.cmp->memsys().faults().stats().toJson();
+        }
         if (ro.sample) {
             const SampledResult &s = r.sample;
             out.sampled = true;
@@ -418,8 +450,8 @@ runJob(const SweepSpec &sweep, const JobSpec &job,
     if (!out.ran)
         out.error = attempt.error().message;
     out.log = capture.take();
-    out.recordJson =
-        buildRecord(out, effective, coreStatsJson, faultStatsJson);
+    out.recordJson = buildRecord(out, effective, coreStatsJson,
+                                 faultStatsJson, cmpJson);
 
     if (!options.artifactDir.empty()) {
         // Record first (atomic), then drop the now-redundant

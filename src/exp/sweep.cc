@@ -201,14 +201,16 @@ SweepSpec::parse(const std::string &text, const std::string &origin)
             spec.presets = splitList(value, ',');
             presetLine = lineNo;
         } else if (key == "workload") {
+            // A shared-memory workload makes a CMP job (exp/run.hh).
             spec.workloads = splitList(value, ',');
-            for (const auto &w : spec.workloads) {
-                auto names = allWorkloadNames();
+            std::vector<std::string> names = allWorkloadNames();
+            for (const auto &shared : sharedWorkloadNames())
+                names.push_back(shared);
+            for (const auto &w : spec.workloads)
                 if (std::find(names.begin(), names.end(), w)
                     == names.end())
                     return lineError(origin, lineNo,
                                      unknownName("workload", w, names));
-            }
         } else if (key == "seed") {
             auto seed = parseSeed(value);
             if (!seed.ok())
@@ -301,6 +303,16 @@ SweepSpec::parse(const std::string &text, const std::string &origin)
                               "IPC, they do not reproduce the golden "
                               "final state)",
                      exit_code::badInput};
+    if (spec.sample)
+        for (const auto &shared : sharedWorkloadNames())
+            if (std::find(spec.workloads.begin(), spec.workloads.end(),
+                          shared)
+                != spec.workloads.end())
+                return Error{origin + ": sweep.sample cannot run the "
+                                      "shared workload '"
+                                 + shared + "' (a CMP job has no "
+                                            "sampled mode)",
+                             exit_code::badInput};
     if (spec.sample && spec.sampleDetail == 0)
         return Error{origin + ": sweep.sample_detail must be >= 1",
                      exit_code::badInput};

@@ -8,7 +8,9 @@
  * (see sim/presets.hh machineConfigKeys) whose value is a list becomes
  * a sweep *axis*; `preset` and `workload` are list-valued driver keys;
  * `sweep.*` keys steer the expansion itself. The cartesian product of
- * presets x workloads x axes x repeats yields the job list.
+ * presets x workloads x axes x repeats yields the job list. A
+ * shared-memory workload (spinlock_counter, ...) makes CMP jobs: one
+ * program per core of a cmp.cores chip (see exp/run.hh).
  *
  * Example (the paper's memory-latency sensitivity, 2x2x3x1 = 12 jobs):
  *

@@ -66,6 +66,15 @@ class MemoryImage
     }
 
     /**
+     * An elided critical section that stored is about to commit on the
+     * 8-byte lock word at @p lock. @return false when it must abort,
+     * because another core took the lock since. A plain image
+     * publishes every store at once and always accepts; see
+     * OverlayImage for the parallel engine's.
+     */
+    virtual bool commitElided(Addr /* lock */) { return true; }
+
+    /**
      * Observe every write to this image. With one image shared by all
      * cores of a coherent CMP, the observer is how a store by the
      * ticking core becomes visible to the others at the instant it

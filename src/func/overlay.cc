@@ -99,18 +99,17 @@ OverlayImage::write(Addr addr, std::uint64_t value, unsigned size)
         WriteRec{now_, addr, value, static_cast<std::uint8_t>(size)});
 }
 
-std::uint64_t
-OverlayImage::atomicSwap(Addr addr, std::uint64_t value, unsigned size)
+bool
+OverlayImage::elidedByOther(Addr addr) const
 {
-    panic_if(size == 0 || size > 8, "OverlayImage::atomicSwap size %u",
-             size);
-    // Serialize against every other core's atomics: inside the gate we
-    // are the unique (cycle, coreId) minimum, so the journal read-
-    // modify-write below is exclusive *and* happens in the same global
-    // order at any worker count.
-    if (shared_.gate)
-        shared_.gate->enter(coreId_, now_);
-    std::uint64_t old = 0;
+    auto held = shared_.elided.find(addr);
+    return held != shared_.elided.end() && held->second != coreId_;
+}
+
+std::uint64_t
+OverlayImage::gatedRead(Addr addr, unsigned size) const
+{
+    std::uint64_t v = 0;
     for (unsigned i = 0; i < size; ++i) {
         // Byte precedence mirrors the quantum's serialization: our own
         // plain stores since our last atomic sink to just before this
@@ -127,8 +126,28 @@ OverlayImage::atomicSwap(Addr addr, std::uint64_t value, unsigned size)
             b = it->second;
         else
             b = viewByte(addr + i);
-        old |= static_cast<std::uint64_t>(b) << (8 * i);
+        v |= static_cast<std::uint64_t>(b) << (8 * i);
     }
+    return v;
+}
+
+std::uint64_t
+OverlayImage::atomicSwap(Addr addr, std::uint64_t value, unsigned size)
+{
+    panic_if(size == 0 || size > 8, "OverlayImage::atomicSwap size %u",
+             size);
+    // Serialize against every other core's atomics: inside the gate we
+    // are the unique (cycle, coreId) minimum, so the journal read-
+    // modify-write below is exclusive *and* happens in the same global
+    // order at any worker count.
+    if (shared_.gate)
+        shared_.gate->enter(coreId_, now_);
+    // A word an elided commit holds until the barrier reads as held.
+    // The swap stores nothing: the holder never writes the word, so a
+    // stored token would outlive the hold.
+    if (elidedByOther(addr))
+        return ~std::uint64_t{0} >> (64 - 8 * size);
+    const std::uint64_t old = gatedRead(addr, size);
     for (unsigned i = 0; i < size; ++i)
         shared_.journal[addr + i] =
             static_cast<std::uint8_t>(value >> (8 * i));
@@ -139,6 +158,19 @@ OverlayImage::atomicSwap(Addr addr, std::uint64_t value, unsigned size)
     log_.push_back(WriteRec{now_, addr, value,
                             static_cast<std::uint8_t>(size), true});
     return old;
+}
+
+bool
+OverlayImage::commitElided(Addr lock)
+{
+    if (shared_.gate)
+        shared_.gate->enter(coreId_, now_);
+    // The section read the word free; an atomic or elided commit of
+    // another core since means another core entered.
+    if (elidedByOther(lock) || gatedRead(lock, 8) != 0)
+        return false;
+    shared_.elided[lock] = coreId_;
+    return true;
 }
 
 } // namespace sst

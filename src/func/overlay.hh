@@ -20,6 +20,14 @@
  * AtomicJournal under the TickGate, so two cores swapping the same
  * word within a quantum still observe each other in deterministic
  * (cycle, coreId) order.
+ *
+ * An elided critical section never writes its lock word, so while its
+ * stores stay buffered the word still reads free. The commit of one
+ * that stored goes through the gate too (commitElided): it aborts when
+ * another core's atomic or elided commit touched the word this
+ * quantum, and otherwise the word reads as held to other cores'
+ * atomicSwap until the barrier publishes the stores. A read-only
+ * section read only quantum-start state and orders before them.
  */
 
 #ifndef SSTSIM_FUNC_OVERLAY_HH
@@ -50,6 +58,9 @@ struct OverlayShared
     const TickGate *gate = nullptr;
     /** Bytes written by atomics this quantum (cleared at each drain). */
     std::unordered_map<Addr, std::uint8_t> journal;
+    /** Lock word -> core, of elided commits this quantum (cleared at
+     *  each drain). */
+    std::unordered_map<Addr, unsigned> elided;
 };
 
 /**
@@ -89,6 +100,7 @@ class OverlayImage final : public MemoryImage
     void writeByte(Addr addr, std::uint8_t value) override;
     std::uint64_t atomicSwap(Addr addr, std::uint64_t value,
                              unsigned size) override;
+    bool commitElided(Addr lock) override;
 
     /** This quantum's buffered writes, in program order. */
     const std::vector<WriteRec> &log() const { return log_; }
@@ -133,6 +145,11 @@ class OverlayImage final : public MemoryImage
         std::array<std::uint64_t, pageSize / 64> present{};
         std::array<std::uint8_t, pageSize> data{};
     };
+
+    /** Inside the gate: the bytes an atomic reads at @p addr. */
+    std::uint64_t gatedRead(Addr addr, unsigned size) const;
+    /** Inside the gate: another core's elided commit holds @p addr. */
+    bool elidedByOther(Addr addr) const;
 
     VPage *findVPage(Addr addr) const;
     VPage &touchVPage(Addr addr);

@@ -313,6 +313,7 @@ Cmp::runEngine(std::uint64_t max_cycles)
             for (unsigned i = 0; i < n; ++i)
                 views_[i]->clearQuantum();
             overlayShared_.journal.clear();
+            overlayShared_.elided.clear();
         }
 
         cycle_ = eng.h1;
@@ -467,6 +468,7 @@ Cmp::restore(const std::vector<std::uint8_t> &bytes)
     for (const auto &view : views_)
         view->clearQuantum();
     overlayShared_.journal.clear();
+    overlayShared_.elided.clear();
 }
 
 Result<void>

@@ -177,13 +177,19 @@ applyOverrides(MachineConfig &config, const Config &overrides)
         "core.line_granular_conflicts", c.lineGranularConflicts);
     c.elideLocks = overrides.getBool("core.elide_locks", c.elideLocks);
 
-    config.cmpCores = static_cast<unsigned>(
-        overrides.getUint("cmp.cores", config.cmpCores));
-    config.cmpWorkers = static_cast<unsigned>(
-        overrides.getUint("cmp.workers", config.cmpWorkers));
-    fatal_if(config.cmpWorkers == 0 || config.cmpWorkers > kMaxCmpWorkers,
-             "cmp.workers must be between 1 and %u (got %u)",
-             kMaxCmpWorkers, config.cmpWorkers);
+    // Range-checked before narrowing, so 2^32 + 1 cannot wrap into a
+    // valid count. cmp.cores = 0 is a single-core preset's own value.
+    std::uint64_t cores = overrides.getUint("cmp.cores", config.cmpCores);
+    fatal_if(cores > kMaxCmpCores,
+             "cmp.cores must be between 1 and %u (got %llu)", kMaxCmpCores,
+             static_cast<unsigned long long>(cores));
+    config.cmpCores = static_cast<unsigned>(cores);
+    std::uint64_t workers =
+        overrides.getUint("cmp.workers", config.cmpWorkers);
+    fatal_if(workers == 0 || workers > kMaxCmpWorkers,
+             "cmp.workers must be between 1 and %u (got %llu)",
+             kMaxCmpWorkers, static_cast<unsigned long long>(workers));
+    config.cmpWorkers = static_cast<unsigned>(workers);
     config.cmpQuantum = static_cast<unsigned>(
         overrides.getUint("cmp.quantum", config.cmpQuantum));
 

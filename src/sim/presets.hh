@@ -72,6 +72,10 @@ struct MachineConfig
  *  not a thread-spawn storm. */
 constexpr unsigned kMaxCmpWorkers = 256;
 
+/** Hard cap on cmp.cores: the coherence directory keeps one sharer bit
+ *  per core in a 64-bit mask. */
+constexpr unsigned kMaxCmpCores = 64;
+
 /** Build a named preset; unknown names are fatal. */
 MachineConfig makePreset(const std::string &name);
 

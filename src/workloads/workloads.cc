@@ -6,6 +6,7 @@
 
 #include "common/logging.hh"
 #include "common/rng.hh"
+#include "func/memory_image.hh"
 #include "isa/builder.hh"
 
 namespace sst
@@ -1006,6 +1007,53 @@ makeSharedWorkload(const std::string &name, unsigned cores,
             fatal("unknown shared workload '%s'", name.c_str());
     }
     return out;
+}
+
+Result<void>
+checkSharedWorkload(const std::string &name, unsigned cores,
+                    const WorkloadParams &params, const MemoryImage &image)
+{
+    auto word = [&](Addr addr) { return image.read(addr, 8); };
+    auto violated = [&](const std::string &what) {
+        return Error{name + " on " + std::to_string(cores)
+                         + " cores: " + what,
+                     exit_code::archMismatch};
+    };
+    std::vector<Addr> locks = {lockBase};
+    if (name == "spinlock_counter") {
+        const std::uint64_t slots = scalePow2(64, params.footprintScale, 8);
+        const std::uint64_t want =
+            cores * scaleCount(2000, params.lengthScale);
+        std::uint64_t sum = 0;
+        for (std::uint64_t s = 0; s < slots; ++s)
+            sum += word(sharedBase + s * 8);
+        if (sum != want)
+            return violated("the counters sum to " + std::to_string(sum)
+                            + ", not cores x iterations = "
+                            + std::to_string(want));
+    } else if (name == "producer_consumer") {
+        locks.clear();
+        for (unsigned ring = 0; ring < cores / 2; ++ring) {
+            locks.push_back(lockBase + ring * 64ULL);
+            if (word(resultAddr + ring * 16ULL)
+                != word(resultAddr + ring * 16ULL + 8))
+                return violated("consumer core " + std::to_string(2 * ring + 1)
+                                + "'s checksum differs from producer core "
+                                + std::to_string(2 * ring) + "'s");
+        }
+    } else if (name != "shared_table") {
+        fatal("unknown shared workload '%s'", name.c_str());
+    }
+    for (unsigned core = 0; core < cores; ++core)
+        if (word(resultAddr + core * 8ULL) == 0)
+            return violated("core " + std::to_string(core)
+                            + "'s result slot was never written");
+    for (std::size_t i = 0; i < locks.size(); ++i)
+        if (std::uint64_t token = word(locks[i]))
+            return violated("lock " + std::to_string(i)
+                            + " ends held (token " + std::to_string(token)
+                            + ")");
+    return {};
 }
 
 } // namespace sst

@@ -48,10 +48,13 @@
 #include <string>
 #include <vector>
 
+#include "common/result.hh"
 #include "isa/program.hh"
 
 namespace sst
 {
+
+class MemoryImage;
 
 /** Generator knobs. Defaults give runs of a few hundred K instructions
  *  with working sets that miss a 2 MB L2 where the class demands it. */
@@ -114,6 +117,18 @@ std::vector<Workload> makeSharedWorkload(const std::string &name,
 
 /** All shared-memory workload names in canonical bench order. */
 std::vector<std::string> sharedWorkloadNames();
+
+/**
+ * Check the final shared @p image of makeSharedWorkload(@p name,
+ * @p cores, @p params) against what every interleaving leaves:
+ * spinlock_counter's counters sum to cores x iterations, each
+ * producer_consumer consumer's checksum equals its producer's, every
+ * core's result slot is written and every lock ends free. The Error
+ * (exit_code::archMismatch) names the first invariant that fails.
+ */
+Result<void> checkSharedWorkload(const std::string &name, unsigned cores,
+                                 const WorkloadParams &params,
+                                 const MemoryImage &image);
 
 } // namespace sst
 

@@ -553,6 +553,18 @@ TEST(SweepRunner, VariantRecordNamesItsBasePreset)
         << "category rows follow the manifest's workload order";
 }
 
+TEST(SweepSpec, RejectsSampledSharedWorkload)
+{
+    auto r = SweepSpec::parse("sweep.sample = true\npreset = sst2\n"
+                              "workload = stream, spinlock_counter\n",
+                              "m");
+    ASSERT_FALSE(r.ok());
+    EXPECT_NE(r.error().message.find("sweep.sample cannot run the shared "
+                                     "workload 'spinlock_counter'"),
+              std::string::npos)
+        << r.error().message;
+}
+
 TEST(SweepRunner, BadConfigValueFailsTheJobNotTheProcess)
 {
     // Parse-time validation catches axis typos, so feed the runner a
@@ -697,5 +709,40 @@ TEST(SweepResume, ValidRecordsAreReusedWithoutRerunning)
     for (std::size_t i = 0; i < jobs.size(); ++i)
         EXPECT_EQ(resumed.outcomes()[i].recordJson,
                   first.outcomes()[i].recordJson);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(SweepRunner, SharedWorkloadRunsAsVerifiedCmpJob)
+{
+    SweepSpec spec = SweepSpec::parse("sweep.length_scale = 0.05\n"
+                                      "sweep.verify = true\n"
+                                      "preset = sst2, rock16\n"
+                                      "workload = spinlock_counter\n"
+                                      "cmp.cores = 4\n",
+                                      "cmp")
+                         .take();
+    const std::string dir = artifactDir("cmp_jobs");
+    SweepRunOptions opt;
+    opt.artifactDir = dir;
+    opt.snapEvery = 500; // a chip takes no mid-job checkpoints
+    ResultSink sink(spec.jobCount());
+    ASSERT_EQ(runSweep(spec, opt, sink), 0);
+    for (const auto &out : sink.outcomes()) {
+        auto record = Json::parse(out.recordJson);
+        ASSERT_TRUE(record.ok());
+        const Json &r = record.value();
+        EXPECT_TRUE(r["arch_ok"].asBool()) << r["log"].asString();
+        EXPECT_EQ(r["cores"].asNumber(), 4);
+        EXPECT_EQ(r["per_core_ipc"].size(), 4u);
+        EXPECT_EQ(r["core_stats"].size(), 4u);
+        EXPECT_EQ(r["stats"].size(), 0u);
+        EXPECT_EQ(r["config"]["coh.enabled"].asString(), "true");
+        EXPECT_FALSE(std::filesystem::exists(jobSnapPath(dir, out.spec.index)));
+    }
+    // Finished CMP records are reused on resume like any other.
+    auto jobs = spec.expand();
+    std::vector<char> done(jobs.size(), 0);
+    ResultSink resumed(spec.jobCount());
+    EXPECT_EQ(loadFinishedRecords(jobs, dir, resumed, done), jobs.size());
     std::filesystem::remove_all(dir);
 }

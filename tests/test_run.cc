@@ -2,9 +2,9 @@
  * @file
  * Tests for the run pipeline (src/exp/run.hh): resolveRun's error
  * paths — every rejection carries its exit code and, for names, the
- * nearest valid one — the effective config it hands to records, and
+ * nearest valid one — the effective config it hands to records,
  * executeRun's detailed mode (golden cross-check, resume policy) run
- * from several threads at once, as sweep jobs do.
+ * from several threads at once, as sweep jobs do, and its CMP mode.
  */
 
 #include <gtest/gtest.h>
@@ -33,9 +33,9 @@ request(std::initializer_list<std::pair<const char *, const char *>> kv)
 
 /** The error resolveRun gives @p cfg (fails the test if it resolves). */
 Error
-rejection(const Config &cfg, WorkloadSet set = WorkloadSet::Single)
+rejection(const Config &cfg)
 {
-    auto r = resolveRun(cfg, set);
+    auto r = resolveRun(cfg);
     EXPECT_FALSE(r.ok());
     return r.ok() ? Error{} : r.error();
 }
@@ -80,15 +80,47 @@ TEST(RunPipeline, UnknownWorkloadSuggestsNearest)
     EXPECT_TRUE(mentions(e, "did you mean 'hash_join'")) << e.message;
 }
 
-TEST(RunPipeline, WorkloadSetsDoNotMix)
+TEST(RunPipeline, WorkloadNameDecidesCmpRun)
 {
-    Error e = rejection(request({{"workload", "spinlock_counter"}}));
+    auto chip = resolveRun(request({{"workload", "spinlock_counter"}}));
+    ASSERT_TRUE(chip.ok()) << chip.error().message;
+    EXPECT_TRUE(chip.value().isCmp());
+    auto core = resolveRun(request({{"workload", "hash_join"}}));
+    ASSERT_TRUE(core.ok()) << core.error().message;
+    EXPECT_FALSE(core.value().isCmp());
+    // A typo is suggested from both lists.
+    Error e = rejection(request({{"workload", "spinlok_counter"}}));
     EXPECT_EQ(e.exitCode, exit_code::usage);
-    EXPECT_TRUE(mentions(e, "sstsim cmp")) << e.message;
-    e = rejection(request({{"workload", "hash_join"}}),
-                  WorkloadSet::Shared);
-    EXPECT_EQ(e.exitCode, exit_code::usage);
-    EXPECT_TRUE(mentions(e, "unknown shared workload")) << e.message;
+    EXPECT_TRUE(mentions(e, "did you mean 'spinlock_counter'")) << e.message;
+}
+
+TEST(RunPipeline, CmpRejectsSingleCoreDriverKeys)
+{
+    for (const char *key : {"trace", "sample", "resume", "warm_start",
+                            "snap_every", "stats"}) {
+        Error e = rejection(
+            request({{"workload", "spinlock_counter"}, {key, "1"}}));
+        EXPECT_EQ(e.exitCode, exit_code::usage) << key;
+        EXPECT_TRUE(mentions(e, std::string(key)
+                                    + "= cannot combine with a CMP run"))
+            << e.message;
+    }
+}
+
+TEST(RunPipeline, CmpCoreCountIsRangeChecked)
+{
+    for (const char *cores : {"0", "65", "4294967297"}) {
+        Error e = rejection(request({{"preset", "rock16"},
+                                     {"workload", "spinlock_counter"},
+                                     {"cmp.cores", cores}}));
+        EXPECT_EQ(e.exitCode, exit_code::badInput) << cores;
+        EXPECT_TRUE(mentions(e, "cmp.cores must be between 1 and 64"))
+            << e.message;
+    }
+    Error e = rejection(request({{"cmp.workers", "4294967298"}}));
+    EXPECT_EQ(e.exitCode, exit_code::badInput);
+    EXPECT_TRUE(mentions(e, "cmp.workers must be between 1 and 256"))
+        << e.message;
 }
 
 TEST(RunPipeline, SampleRejectsStartStateAndSnapshotKeys)
@@ -135,8 +167,7 @@ TEST(RunPipeline, OutOfRangeScalesAreBadInput)
     EXPECT_TRUE(mentions(e, "length_scale must be a positive finite"))
         << e.message;
     e = rejection(request({{"workload", "spinlock_counter"},
-                           {"footprint_scale", "nan"}}),
-                  WorkloadSet::Shared);
+                           {"footprint_scale", "nan"}}));
     EXPECT_EQ(e.exitCode, exit_code::badInput) << e.message;
     EXPECT_TRUE(mentions(e, "footprint_scale must be a positive finite"))
         << e.message;
@@ -169,11 +200,43 @@ TEST(RunPipeline, SharedTargetsBuildOneProgramPerCoreOverCoherence)
 {
     auto r = resolveRun(request({{"preset", "sst2"},
                                  {"workload", "spinlock_counter"},
-                                 {"cmp.cores", "4"}}),
-                        WorkloadSet::Shared);
+                                 {"cmp.cores", "4"}}));
     ASSERT_TRUE(r.ok()) << r.error().message;
     EXPECT_EQ(r.value().workloads.size(), 4u);
     EXPECT_TRUE(r.value().machine.mem.coh.enabled);
+    // The effective config records the chip that runs: coherence on,
+    // and a single-core preset's default of two cores.
+    auto pair = resolveRun(request({{"preset", "sst2"},
+                                    {"workload", "shared_table"}}));
+    ASSERT_TRUE(pair.ok()) << pair.error().message;
+    EXPECT_EQ(pair.value().workloads.size(), 2u);
+    EXPECT_EQ(pair.value().effective.getString("cmp.cores", ""), "2");
+    EXPECT_EQ(pair.value().effective.getString("coh.enabled", ""), "true");
+}
+
+TEST(RunPipeline, CmpRunsAreVerified)
+{
+    // A salted chip checks each core against its program's golden run,
+    // a coherent one the workload's invariants.
+    for (auto kv : {request({{"preset", "sst2"},
+                             {"workload", "spinlock_counter"},
+                             {"coh.enabled", "false"}}),
+                    request({{"preset", "rock16"},
+                             {"workload", "spinlock_counter"}})}) {
+        auto target = resolveRun(kv);
+        ASSERT_TRUE(target.ok()) << target.error().message;
+        auto run = executeRun(target.value(), target.value().options);
+        ASSERT_TRUE(run.ok()) << run.error().message;
+        const RunOutcome &out = run.value();
+        ASSERT_TRUE(out.cmp);
+        EXPECT_FALSE(out.machine);
+        EXPECT_TRUE(out.result.finished);
+        EXPECT_TRUE(out.archVerified);
+        EXPECT_TRUE(out.archOk) << target.value().machine.presetName;
+        EXPECT_EQ(out.cmpResult.cores, target.value().machine.cmpCores);
+        EXPECT_EQ(out.result.cycles, out.cmpResult.cycles);
+        EXPECT_EQ(out.result.insts, out.cmpResult.totalInsts);
+    }
 }
 
 TEST(RunPipeline, ConcurrentDetailedRunsMatchGoldenAndEachOther)

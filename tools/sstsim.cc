@@ -101,6 +101,11 @@
  * true and cmp.cores=N) and reports per-core and aggregate IPC.
  * Without coherence the cores run salted disjoint address spaces and
  * the "shared" data is private per core — useful only as a baseline.
+ * The final state is checked (exit 2 on failure): each salted core
+ * against its own program's golden run, a coherent chip against the
+ * workload's invariants (counters sum, checksums pair up, locks end
+ * free). trace, sample, resume, warm_start, snap_every and stats act
+ * on one core's machine and are rejected (exit 64).
  *
  * Every subcommand that takes key=value (the plain run, profile,
  * trace, both sides of diff, cmp) resolves it through one resolver
@@ -134,7 +139,6 @@
 #include "exp/runner.hh"
 #include "exp/sweep.hh"
 #include "exp/threadpool.hh"
-#include "sim/cmp.hh"
 #include "sim/machine.hh"
 #include "sim/profile.hh"
 #include "snap/diff.hh"
@@ -263,6 +267,23 @@ parseArgs(int argc, char **argv, const Options &options,
     return {};
 }
 
+/** @p target, unless its kind does not fit the subcommand: a
+ *  shared-memory workload runs only under `sstsim cmp` (@p cmp), any
+ *  other workload only outside it. */
+Result<exp::RunTarget>
+checkKind(Result<exp::RunTarget> target, bool cmp)
+{
+    if (!target.ok() || target.value().isCmp() == cmp)
+        return target;
+    const std::string &name = target.value().workloads.front().name;
+    return Error{cmp ? "'" + name + "' is not a shared-memory workload "
+                                    "(workload=list shows them)"
+                     : "'" + name + "' is a shared-memory workload; run "
+                                    "it with 'sstsim cmp <preset> "
+                           + name + "'",
+                 exit_code::usage};
+}
+
 /** The command line of a `<preset> <workload> [key=value...]`
  *  subcommand. */
 struct TargetArgs
@@ -271,14 +292,14 @@ struct TargetArgs
     std::string workload;
     Config cfg;
 
-    /** Resolve @p request with the positional preset and workload. */
+    /** Resolve @p request with the positional preset and workload, a
+     *  shared one only for `sstsim cmp` (@p cmp). */
     Result<exp::RunTarget>
-    resolve(Config request,
-            exp::WorkloadSet set = exp::WorkloadSet::Single) const
+    resolve(Config request, bool cmp = false) const
     {
         request.set("preset", preset);
         request.set("workload", workload);
-        return exp::resolveRun(request, set);
+        return checkKind(exp::resolveRun(request), cmp);
     }
 };
 
@@ -572,9 +593,9 @@ degradeExit(DegradeReason reason)
                                              : exit_code::cycleBudget;
 }
 
-/** `sstsim cmp`: -j N is cmp.workers=N. No golden check: a
- *  multi-threaded outcome is interleaving-dependent, so correctness
- *  lives in tests/test_coherence.cc instead. */
+/** `sstsim cmp`: -j N is cmp.workers=N. The run pipeline checks the
+ *  chip's final state (exp/run.hh): exit 2, with a warning that says
+ *  what failed. */
 int
 cmpMain(int argc, char **argv)
 {
@@ -600,23 +621,21 @@ cmpMain(int argc, char **argv)
         {{"--json", on(json)}, {"-j", jobs}, {"--jobs", jobs}}, args);
     if (!parsed.ok())
         return fail(parsed.error());
-    auto resolved = args.resolve(args.cfg, exp::WorkloadSet::Shared);
+    auto resolved = args.resolve(args.cfg, true);
     if (!resolved.ok())
         return fail(resolved.error());
     const exp::RunTarget &target = resolved.value();
     const MachineConfig &mc = target.machine;
     json = json || args.cfg.getBool("json", false);
 
-    std::vector<const Program *> programs;
-    for (const Workload &w : target.workloads)
-        programs.push_back(&w.program);
-    auto run = trapFatal([&] {
-        Cmp cmp(mc, programs);
-        return cmp.run(target.options.maxCycles);
-    });
-    if (!run.ok())
-        return fail(run.error());
-    CmpResult r = run.take();
+    auto ran = trapFatal(
+        [&] { return exp::executeRun(target, target.options); });
+    if (!ran.ok())
+        return fail(ran.error());
+    if (!ran.value().ok())
+        return fail(ran.value().error());
+    const exp::RunOutcome &run = ran.value().value();
+    const CmpResult &r = run.cmpResult;
 
     if (json) {
         std::printf("{\"preset\": \"%s\", \"workload\": \"%s\", "
@@ -646,7 +665,9 @@ cmpMain(int argc, char **argv)
                                          : degradeReasonName(r.degrade)});
         t.print();
     }
-    return r.finished ? exit_code::ok : degradeExit(r.degrade);
+    if (!r.finished)
+        return degradeExit(r.degrade);
+    return run.archOk ? exit_code::ok : exit_code::archMismatch;
 }
 
 /** `sstsim trace`: a detailed run with the event ring attached. */
@@ -967,7 +988,7 @@ main(int argc, char **argv)
         if (cfg.getString(key, "") == "list")
             listAndExit();
 
-    auto resolved = exp::resolveRun(cfg);
+    auto resolved = checkKind(exp::resolveRun(cfg), false);
     if (!resolved.ok())
         return fail(resolved.error());
     const exp::RunTarget &target = resolved.value();
